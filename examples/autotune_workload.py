@@ -1,18 +1,19 @@
 """Auto-tune interleaving parameters from warm-up profiles.
 
 The paper sizes Eq. 2/3 "empirically or experimentally from warm-up
-iterations"; this example runs the :class:`~repro.core.AutoTuner` on
+iterations"; this example runs the :class:`~repro.tuning.AutoTuner` on
 the CAN production workload and compares the tuned configuration with
 the analytic plan, then renders the pipeline as an ASCII Gantt chart.
 
 Run:  python examples/autotune_workload.py
 """
 
-from repro.core import AutoTuner, PicassoExecutor
+from repro.core import PicassoExecutor
 from repro.data import product2
 from repro.hardware import eflops_cluster
 from repro.models import can
 from repro.sim.export import ascii_gantt
+from repro.tuning import AutoTuner
 
 
 def main() -> None:

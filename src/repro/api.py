@@ -38,6 +38,7 @@ matching the paper's two testbeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.baselines import framework_by_name
@@ -129,13 +130,20 @@ def parse_cluster(spec) -> ClusterSpec:
 
     Names are case-insensitive — ``RunConfig.as_dict`` snapshots emit
     the cluster's display name (``EFLOPS:2``) and must parse back.
-    Raises :class:`ValueError` for unknown testbed names.
+    Raises :class:`ValueError` for unknown testbed names and for node
+    counts that are not integers >= 1.
     """
     if isinstance(spec, ClusterSpec):
         return spec
     name, _, count = str(spec).partition(":")
     name = name.lower()
-    nodes = int(count) if count else 1
+    try:
+        nodes = int(count) if count else 1
+    except ValueError:
+        nodes = 0
+    if nodes < 1:
+        raise ValueError(f"cluster {spec!r} needs an integer node count "
+                         ">= 1 (eflops:N or gn6e:N)")
     if name == "eflops":
         return eflops_cluster(nodes)
     if name == "gn6e":
@@ -194,8 +202,9 @@ class RunConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not math.isfinite(self.scale) or self.scale <= 0:
+            raise ValueError(
+                f"scale must be finite and > 0, got {self.scale}")
         if self.batch_size < 1:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}")

@@ -36,16 +36,12 @@ Each benchmark is one deterministic, CI-sized workload reduced to a
   with periodic cold scans: the ``fifo`` policy must stay the identity
   schedule and hot-first reordering must keep cutting exposed fetch
   seconds by >= 50% versus FIFO, gated so a scheduler regression that
-  stops hiding cold fetches fails CI;
-* ``walltime`` — the wall-clock harness (:mod:`repro.bench.walltime`)
-  under a deterministic modeled clock: the full-scale single-step
-  workload's structure (task/event counts, modeled throughput) and the
-  timed-run protocol itself, gated at tolerance 0 so the snapshot
-  byte-diffs in the determinism job; the CI ``perf`` job reruns the
-  same harness with the real clock and asserts the wall budget.
+  stops hiding cold fetches fails CI.
 
 Workloads are deliberately small (seconds each): the gate's job is
-catching regressions on every PR, not measuring peak numbers.
+catching regressions on every PR, not measuring peak numbers.  Every
+snapshot gates a modeled quantity; wall-clock speed is measured by the
+``perf/`` benchmark instead.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ import numpy as np
 from repro.api import RunConfig, ServeConfig, StreamConfig, \
     TuneConfig, profile, run, serve, stream, tune
 from repro.bench.snapshot import BenchSnapshot
-from repro.bench.walltime import bench_walltime
 from repro.core import PicassoConfig
 from repro.data import BoundedZipf
 from repro.data.spec import FieldSpec
@@ -680,7 +675,6 @@ BENCHES = {
     "online": bench_online,
     "replay": bench_replay,
     "prefetch": bench_prefetch,
-    "walltime": bench_walltime,
 }
 
 

@@ -24,8 +24,6 @@ Commands:
 * ``bench`` — run the regression benchmark suite (``bench run``) and
   gate candidate snapshots against baselines (``bench compare``);
   gate failures print the ranked metric-attribution table.
-  ``bench walltime`` times the engine hot path for real
-  (median-of-N, warm-up discarded) and exits non-zero over budget.
 * ``diff`` — differential observability: align two frozen traces and
   attribute the makespan delta per op class / worker / resource
   (text, JSON, Chrome overlay), or rank bench-snapshot deltas
@@ -58,11 +56,6 @@ from repro.bench import (
     run_benches,
     snapshot_filename,
     write_snapshot,
-)
-from repro.bench.walltime import (
-    WALLTIME_BUDGET_S,
-    WALLTIME_RUNS,
-    WALLTIME_WARMUP,
 )
 from repro.core import PicassoConfig
 from repro.data import ALL_DATASETS, BoundedZipf
@@ -514,32 +507,6 @@ def cmd_bench_compare(args) -> int:
     return 0
 
 
-def cmd_bench_walltime(args) -> int:
-    from repro.bench.walltime import measure_walltime
-
-    budget = None if args.no_budget else args.budget_s
-    record = measure_walltime(runs=args.runs, warmup=args.warmup,
-                              budget_s=budget)
-    print(f"bench walltime: median {record['median_s'] * 1e3:.1f} ms "
-          f"over {args.runs} run(s) ({args.warmup} warm-up discarded), "
-          f"{record['items_per_s']:,.0f} items/s")
-    for index, seconds in enumerate(record["runs_s"]):
-        print(f"  run {index}: {seconds * 1e3:.1f} ms")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, sort_keys=True, indent=1,
-                      separators=(",", ": "))
-            handle.write("\n")
-        print(f"timings written to {args.output}")
-    if budget is not None and not record["within_budget"]:
-        print(f"bench walltime: FAIL — median {record['median_s']:.3f}s "
-              f"exceeds the {budget:.3f}s budget")
-        return 1
-    if budget is not None:
-        print(f"bench walltime: within the {budget:.3f}s budget")
-    return 0
-
-
 def cmd_diff(args) -> int:
     if args.bench:
         base_dir = args.base or "benchmarks/baselines"
@@ -855,26 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_compare.add_argument("--only",
                                help="comma-separated bench names")
     bench_compare.set_defaults(func=cmd_bench_compare)
-
-    bench_walltime = bench_sub.add_parser(
-        "walltime",
-        help="timed wall-clock run of the engine hot path "
-             "(exit 1 over budget)")
-    bench_walltime.add_argument(
-        "--runs", type=int, default=WALLTIME_RUNS,
-        help="timed runs (the median is the headline)")
-    bench_walltime.add_argument(
-        "--warmup", type=int, default=WALLTIME_WARMUP,
-        help="discarded warm-up runs (fill the plan/compile caches)")
-    bench_walltime.add_argument(
-        "--budget-s", type=float, default=WALLTIME_BUDGET_S,
-        help="median wall-clock budget in seconds")
-    bench_walltime.add_argument(
-        "--no-budget", action="store_true",
-        help="report timings without asserting the budget")
-    bench_walltime.add_argument(
-        "--output", help="write the timing record as JSON (CI artifact)")
-    bench_walltime.set_defaults(func=cmd_bench_walltime)
 
     diff = sub.add_parser(
         "diff",

@@ -36,17 +36,4 @@ __all__ = [
     "PicassoExecutor",
     "RunReport",
     "simulate_plan",
-    "AutoTuner",
-    "TuningResult",
 ]
-
-
-def __getattr__(name: str):
-    # AutoTuner moved to repro.tuning; resolve lazily so importing
-    # repro.core never pulls the tuning package (or its deprecation
-    # shim) unless the legacy names are actually used.
-    if name in ("AutoTuner", "TuningResult"):
-        from repro.tuning import warmup
-        return getattr(warmup, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -29,7 +29,7 @@ from repro.sim.trace import TaskRecord, TraceRecorder
 
 _EPS = 1e-12
 
-#: Initial capacity of the vectorized engine's slot arrays; grows by
+#: Initial capacity of the engine's slot arrays; grows by
 #: doubling when concurrency exceeds it.
 _MIN_SLOTS = 64
 
@@ -59,7 +59,7 @@ class SimTask:
         self.remaining = self.phases[0].work if self.phases else 0.0
         self.finish_time: float | None = None
         self.start_time: float | None = None
-        #: slot index in the vectorized engine's arrays (-1 = inactive)
+        #: slot index in the engine's arrays (-1 = inactive)
         #: and the current phase's max_rate, both engine-managed.
         self._slot = -1
         self._cap = math.inf
@@ -212,16 +212,15 @@ def build_node_resources(node: NodeSpec, launch_slots: int = 4,
 
 
 class _Lane:
-    """Cached rate allocation of one resource (vectorized engine).
+    """Cached rate allocation of one resource.
 
-    The legacy loop recomputed the water-filling allocation of every
-    occupied resource on every event; the allocation is a pure function
-    of the occupant list and the fault scale, so a lane caches it and
-    only recomputes when membership or scale actually changed (the
-    ``dirty`` flag).  ``alloc_tasks``/``alloc_rates`` preserve the
-    legacy allocation-dict insertion order — capped tasks first, per
+    The water-filling allocation is a pure function of the occupant
+    list and the fault scale, so a lane caches it and only recomputes
+    when membership or scale actually changed (the ``dirty`` flag).
+    ``alloc_tasks``/``alloc_rates`` keep the insertion order of
+    :meth:`Resource.allocate_rates` — capped tasks first, per
     water-filling iteration, then the uncapped fair-share rest — which
-    the engine relies on to emit completions in byte-identical order.
+    the engine relies on to emit completions in a deterministic order.
     """
 
     __slots__ = ("resource", "capacity", "alloc_tasks", "alloc_rates",
@@ -240,8 +239,8 @@ class _Lane:
         #: ``resource.active`` being non-empty after the last rebuild);
         #: live lanes are the only ones the trace step visits.
         self.live = False
-        # Trace accumulators, folded in event order exactly as the
-        # legacy ``TraceRecorder.add_interval`` would; flushed into the
+        # Trace accumulators, folded in event order exactly as
+        # ``TraceRecorder.add_interval`` would; flushed into the
         # ResourceTrace at the end of the run.
         self.busy = 0.0
         self.work = 0.0
@@ -252,29 +251,18 @@ class _Lane:
 class Engine:
     """Runs a set of :class:`SimTask` DAG nodes to completion.
 
-    Two equivalent execution loops are available:
-
-    * the **vectorized** hot path (default) keeps every active task's
-      remaining work in a flat numpy slot array, caches per-resource
-      rate allocations until membership changes, and advances events
-      with a handful of whole-array operations;
-    * the **legacy** per-event Python scan, kept as the executable
-      specification the equivalence suite checks the vectorized loop
-      against, bit for bit.
-
-    Both produce byte-identical results — makespans, utilization
-    traces, task records and fault kill/requeue ordering.
+    Every active task's remaining work lives in a flat numpy slot
+    array, per-resource rate allocations are cached until membership
+    changes, and each event advances with a handful of whole-array
+    operations.  The test suite checks every observable — makespans,
+    utilization traces, task records, fault kill/requeue ordering —
+    bit for bit against a per-event Python reference loop built on
+    :meth:`Resource.allocate_rates`.
     """
 
-    def __init__(self, resources: dict, record_trace: bool = True,
-                 vectorized: bool = True):
-        """:param resources: mapping of kind -> :class:`Resource`.
-        :param vectorized: select the numpy hot path (default) or the
-            legacy reference loop; results are bit-identical.
-        """
+    def __init__(self, resources: dict):
+        """:param resources: mapping of kind -> :class:`Resource`."""
         self.resources = resources
-        self.record_trace = record_trace
-        self.vectorized = vectorized
 
     def run(self, tasks: list, keep_finish_times: bool = False,
             record_tasks: bool = False, injector=None) -> SimResult:
@@ -299,184 +287,6 @@ class Engine:
         Raises :class:`RuntimeError` on dependency cycles (detected as a
         stall with unfinished tasks) and :class:`KeyError` when a phase
         references a resource kind this engine was not built with.
-        """
-        if self.vectorized:
-            return self._run_vectorized(tasks, keep_finish_times,
-                                        record_tasks, injector)
-        return self._run_legacy(tasks, keep_finish_times,
-                                record_tasks, injector)
-
-    def _run_legacy(self, tasks: list, keep_finish_times: bool = False,
-                    record_tasks: bool = False, injector=None) -> SimResult:
-        """The original per-event Python scan (reference semantics)."""
-        for resource in self.resources.values():
-            resource.active.clear()
-            resource.queue.clear()
-        recorder = TraceRecorder(
-            {kind: res.capacity for kind, res in self.resources.items()})
-        now = 0.0
-        events = 0
-        finished = 0
-        total = len(tasks)
-        running: set = set()
-        records: list = []
-        segment_start: dict = {}  # task -> current segment's start time
-        segments: dict = {}  # task -> [(kind value, t0, t1), ...]
-        pred_names: dict = {}
-        if record_tasks:
-            pred_names = {id(task): [] for task in tasks}
-            for task in tasks:
-                for succ in task.succs:
-                    pred_names[id(succ)].append(task.name)
-
-        def begin_segment(task: SimTask) -> None:
-            if record_tasks:
-                segment_start[id(task)] = now
-
-        def end_segment(task: SimTask) -> None:
-            if record_tasks:
-                start = segment_start.pop(id(task))
-                segments.setdefault(id(task), []).append(
-                    (task.current_phase.kind.value, start, now))
-
-        def admit(task: SimTask) -> None:
-            while True:
-                if task.done_with_phases or not task.phases:
-                    complete(task)
-                    return
-                if task.current_phase.work <= 0:
-                    if not task.advance_phase():
-                        complete(task)
-                        return
-                    continue
-                break
-            resource = self.resources[task.current_phase.kind]
-            if resource.has_free_slot():
-                resource.active.append(task)
-                running.add(task)
-                begin_segment(task)
-                if task.start_time is None:
-                    task.start_time = now
-            else:
-                resource.queue.append(task)
-                if task.start_time is None:
-                    task.start_time = now
-
-        def complete(task: SimTask) -> None:
-            nonlocal finished
-            task.finish_time = now
-            finished += 1
-            if record_tasks:
-                records.append(TaskRecord(
-                    name=task.name,
-                    start=task.start_time if task.start_time is not None
-                    else now,
-                    end=now,
-                    preds=tuple(pred_names.get(id(task), ())),
-                    tags=dict(task.tags),
-                    segments=tuple(segments.pop(id(task), ()))))
-            for succ in task.succs:
-                succ.indegree -= 1
-                if succ.indegree == 0:
-                    admit(succ)
-
-        # Snapshot the initial ready set first: admitting a zero-work
-        # task can cascade completions that drop other tasks' indegree
-        # to zero, and those are already admitted by the cascade.
-        initially_ready = [task for task in tasks if task.indegree == 0]
-        for task in initially_ready:
-            admit(task)
-
-        def kill_in_flight() -> int:
-            """Crash semantics: every in-flight task loses its current
-            phase's progress and re-enters its resource queue."""
-            killed = 0
-            for resource in self.resources.values():
-                for task in list(resource.active):
-                    end_segment(task)  # the aborted occupancy stays visible
-                    task.remaining = task.current_phase.work
-                    resource.active.remove(task)
-                    running.discard(task)
-                    resource.queue.append(task)
-                    killed += 1
-                while resource.queue and resource.has_free_slot():
-                    queued = resource.queue.pop(0)
-                    resource.active.append(queued)
-                    running.add(queued)
-                    begin_segment(queued)
-                    if queued.start_time is None:
-                        queued.start_time = now
-            return killed
-
-        while running:
-            events += 1
-            # Allocate rates per resource and find the earliest completion.
-            rates: dict = {}
-            totals: dict = {}
-            dt = math.inf
-            for kind, resource in self.resources.items():
-                if not resource.active:
-                    continue
-                scale = injector.scale(kind, now) if injector else 1.0
-                allocation = resource.allocate_rates(scale)
-                totals[kind] = sum(allocation.values())
-                for task, rate in allocation.items():
-                    rates[task] = rate
-                    if rate > 0:
-                        dt = min(dt, task.remaining / rate)
-            if injector is not None:
-                boundary = injector.next_boundary(now)
-                if math.isfinite(boundary):
-                    dt = min(dt, max(boundary - now, 0.0))
-            if not math.isfinite(dt):
-                raise RuntimeError("simulation stalled with running tasks")
-            dt = max(dt, 0.0)
-            if dt > 0:
-                recorder.add_interval(now, now + dt, totals)
-            previous = now
-            now += dt
-
-            completed_phase = []
-            for task, rate in rates.items():
-                task.remaining -= rate * dt
-                if task.remaining <= _EPS * max(1.0, rate):
-                    completed_phase.append(task)
-            for task in completed_phase:
-                resource = self.resources[task.current_phase.kind]
-                end_segment(task)
-                resource.active.remove(task)
-                running.discard(task)
-                while resource.queue and resource.has_free_slot():
-                    queued = resource.queue.pop(0)
-                    resource.active.append(queued)
-                    running.add(queued)
-                    begin_segment(queued)
-                    if queued.start_time is None:
-                        queued.start_time = now
-                if task.advance_phase():
-                    admit(task)
-                else:
-                    complete(task)
-
-            if injector is not None:
-                for event in injector.crashes_between(previous, now):
-                    injector.record(event, now, kill_in_flight())
-
-        if finished != total:
-            stuck = total - finished
-            raise RuntimeError(
-                f"{stuck} task(s) never became ready; dependency cycle?")
-        finish_times = {}
-        if keep_finish_times:
-            finish_times = {task.name: task.finish_time for task in tasks}
-        return SimResult(makespan=now, recorder=recorder,
-                         task_count=total, event_count=events,
-                         finish_times=finish_times, task_records=records)
-
-    def _run_vectorized(self, tasks: list, keep_finish_times: bool = False,
-                        record_tasks: bool = False,
-                        injector=None) -> SimResult:
-        """Numpy hot path; bit-identical to :meth:`_run_legacy`.
 
         Design (see DESIGN.md "Engine internals"):
 
@@ -489,15 +299,15 @@ class Engine:
           recomputed only when occupancy or the fault scale changes;
         * each event is one fused sweep — divide / min for the next
           completion, multiply / subtract for the work drain, a
-          compare + ``flatnonzero`` for completions — instead of the
+          compare + ``nonzero`` for completions — instead of an
           O(resources x occupants) Python scan.
 
-        Bitwise equivalence holds because elementwise float64 numpy
-        arithmetic (divide, multiply, subtract) rounds identically to
-        Python scalar arithmetic, min/compare operations pick values
-        without rounding, and every order-sensitive reduction (the
-        recorder totals, completion emission) still runs in the legacy
-        allocation order.
+        The results match the per-event scalar reference bit for bit
+        because elementwise float64 numpy arithmetic (divide, multiply,
+        subtract) rounds identically to Python scalar arithmetic,
+        min/compare operations pick values without rounding, and every
+        order-sensitive reduction (the recorder totals, completion
+        emission) runs in :meth:`Resource.allocate_rates` order.
         """
         resources = self.resources
         res_items = list(resources.items())
@@ -583,7 +393,7 @@ class Engine:
             running.discard(task)
 
         def rebuild(lane: _Lane) -> None:
-            """Recompute one resource's allocation (legacy water-fill).
+            """Recompute one resource's water-fill allocation.
 
             Mirrors ``Resource.allocate_rates`` op for op — same
             iteration structure, same sequential budget subtraction —
@@ -607,9 +417,11 @@ class Engine:
             if scale == 1.0:
                 budget = lane.capacity
                 if len(active) == 1:
-                    # The dominant case at this workload's occupancy:
-                    # one occupant, full capacity.  ``fair = budget/1``
+                    # One occupant at full capacity: ``fair = budget/1``
                     # is exact, so the water-fill collapses to one min.
+                    # Kept because ~30% of allocations on the narrow
+                    # W&D plan have one occupant (a ~5% loop-time win);
+                    # a two-occupant shortcut measured as noise.
                     task = active[0]
                     max_rate = task._cap
                     task_rate = max_rate if max_rate < budget else budget
@@ -617,64 +429,6 @@ class Engine:
                     lane.alloc_rates = [task_rate]
                     lane.total = task_rate
                     slot = task._slot
-                    rate[slot] = task_rate
-                    thresh[slot] = _EPS * (task_rate if task_rate > 1.0
-                                           else 1.0)
-                    if not lane.live:
-                        live_lanes.append(lane)
-                        lane.live = True
-                    return
-                if len(active) == 2:
-                    # Two occupants: the water-fill has four outcomes
-                    # (neither / both / either one capped); spelling
-                    # them out skips the general loop while keeping
-                    # the same float ops in the same order — capped
-                    # tasks are still emitted first.
-                    first, second = active
-                    cap_first = first._cap
-                    cap_second = second._cap
-                    fair = budget / 2
-                    if cap_first < fair:
-                        if cap_second < fair:
-                            alloc_tasks = [first, second]
-                            alloc_rates = [cap_first, cap_second]
-                            total = cap_first + cap_second
-                        else:
-                            left = budget - cap_first
-                            if left <= 0:
-                                rate_second = 1e-12
-                            elif cap_second < left:
-                                rate_second = cap_second
-                            else:
-                                rate_second = left
-                            alloc_tasks = [first, second]
-                            alloc_rates = [cap_first, rate_second]
-                            total = cap_first + rate_second
-                    elif cap_second < fair:
-                        left = budget - cap_second
-                        if left <= 0:
-                            rate_first = 1e-12
-                        elif cap_first < left:
-                            rate_first = cap_first
-                        else:
-                            rate_first = left
-                        alloc_tasks = [second, first]
-                        alloc_rates = [cap_second, rate_first]
-                        total = cap_second + rate_first
-                    else:
-                        alloc_tasks = [first, second]
-                        alloc_rates = [fair, fair]
-                        total = fair + fair
-                    lane.alloc_tasks = alloc_tasks
-                    lane.alloc_rates = alloc_rates
-                    lane.total = total
-                    task_rate = alloc_rates[0]
-                    slot = alloc_tasks[0]._slot
-                    rate[slot] = task_rate
-                    thresh[slot] = _EPS * (task_rate if task_rate > 1.0
-                                           else 1.0)
-                    task_rate = alloc_rates[1]
-                    slot = alloc_tasks[1]._slot
                     rate[slot] = task_rate
                     thresh[slot] = _EPS * (task_rate if task_rate > 1.0
                                            else 1.0)
@@ -690,11 +444,12 @@ class Engine:
                 alloc_tasks = list(active)
                 alloc_rates = [0.0] * len(active)
             else:
-                # Single-pass form of the legacy two-comprehension
-                # water-fill: capped tasks are appended (and their
-                # rates deducted) in the same pending order, the
-                # survivors filtered with the same ``>= fair`` test,
-                # so every float and every position is unchanged.
+                # Single-pass form of ``Resource.allocate_rates``'s
+                # two-comprehension water-fill: capped tasks are
+                # appended (and their rates deducted) in the same
+                # pending order, the survivors filtered with the same
+                # ``>= fair`` test, so every float and every position
+                # is unchanged.
                 pending = active
                 alloc_tasks = []
                 alloc_rates = []
@@ -744,8 +499,8 @@ class Engine:
                     (task.current_phase.kind.value, start, now))
 
         def admit(task: SimTask) -> None:
-            # Unrolled form of the legacy preamble (``done_with_phases``
-            # / ``current_phase`` / ``advance_phase``), manipulating
+            # Unrolled form of the ``done_with_phases`` /
+            # ``current_phase`` / ``advance_phase`` preamble, manipulating
             # ``_phase_index`` directly: zero-work phases complete
             # immediately, in the same order.
             phases = task.phases
@@ -889,8 +644,8 @@ class Engine:
                     end = now + dt
                     dtp = end - now
                     if dtp > 0.0:
-                        # Legacy ``recorder.add_interval``, unrolled
-                        # over the live lanes; same fold order per
+                        # ``recorder.add_interval``, unrolled over
+                        # the live lanes; same fold order per
                         # kind, so the accumulators round identically.
                         for lane in live_lanes:
                             lane_total = lane.total
@@ -909,7 +664,7 @@ class Engine:
                     if hits.shape[0] == 1:
                         completed_phase = [slot_task[hits.item(0)]]
                     else:
-                        # Emit in the legacy order: resources-dict
+                        # Emit in the reference order: resources-dict
                         # iteration order, allocation order within.
                         hit_set = {slot_task[index] for index in hits}
                         completed_phase = []
@@ -970,8 +725,8 @@ class Engine:
                         injector.record(event, now, kill_in_flight())
 
         # Flush the per-lane trace accumulators into the recorder the
-        # callers see; folding happened in the legacy event order, so
-        # every float is byte-identical to an add_interval stream.
+        # callers see; folding happened in event order, so every
+        # float is byte-identical to an add_interval stream.
         for lane in lanes.values():
             lane.trace.busy_seconds = lane.busy
             lane.trace.work_done = lane.work

@@ -41,8 +41,33 @@ class TestParseCluster:
         with pytest.raises(ValueError):
             api.parse_cluster("tpu:4")
 
+    @pytest.mark.parametrize("spec", ["eflops:0", "gn6e:-3",
+                                      "eflops:2.5", "gn6e:two"])
+    def test_bad_node_count_rejected(self, spec):
+        with pytest.raises(ValueError, match="cluster"):
+            api.parse_cluster(spec)
+
+    def test_bad_node_count_fails_the_run(self):
+        # Used to simulate a zero-node cluster and report a throughput.
+        with pytest.raises(ValueError, match="cluster"):
+            api.run(TINY.with_overrides(cluster="eflops:0"))
+
+    def test_bad_node_count_is_a_cli_usage_error(self):
+        from repro.cli import build_parser
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["simulate", "--cluster", "gn6e:-3"])
+
 
 class TestRunConfig:
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        # Used to pass the ``<= 0`` check and die deep in the model build.
+        with pytest.raises(ValueError, match="scale"):
+            RunConfig(scale=scale)
+        with pytest.raises(ValueError, match="scale"):
+            TINY.with_overrides(scale=scale)
+
     def test_defaults_resolve(self):
         config = RunConfig()
         assert config.framework == "PICASSO"

@@ -132,7 +132,7 @@ class TestSuite:
     def test_registry_names(self):
         assert set(BENCHES) == {"training", "interleaving", "serving",
                                 "cache", "faults", "shards", "online",
-                                "replay", "prefetch", "walltime"}
+                                "replay", "prefetch"}
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown bench"):
