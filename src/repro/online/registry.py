@@ -53,6 +53,8 @@ class SnapshotVersion:
     kind: str  # "full" | "delta"
     step: int
     filename: str
+    #: full bases: the checkpoint's file size; deltas: the payload
+    #: (:meth:`DeltaSnapshot.nbytes`), independent of provenance.
     nbytes: int
     #: the version this delta chains on; ``None`` for full bases.
     base_version: int | None = None
@@ -212,9 +214,12 @@ class SnapshotRegistry:
                                   counters=counters,
                                   provenance=provenance)
             path = save_delta(delta, self.root / f"v{version:06d}_delta")
+            # Priced by payload, not file size: the file's header embeds
+            # the provenance (a git describe string), which would make
+            # modeled load times depend on where the run happened.
             entry = SnapshotVersion(
                 version=version, kind="delta", step=step,
-                filename=path.name, nbytes=path.stat().st_size,
+                filename=path.name, nbytes=delta.nbytes(),
                 base_version=latest.version, provenance=provenance)
         else:
             path = resolve_checkpoint_path(

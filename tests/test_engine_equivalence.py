@@ -1,18 +1,20 @@
 """Bitwise equivalence of :meth:`Engine.run` vs a per-event reference.
 
-The engine's numpy slot arrays, cached lane allocations and the
-one-occupant water-fill shortcut are only allowed to make it *faster*
-than the plain per-event Python scan below (:func:`reference_run`) —
-never different.  Every test here runs the same workload through both
-and compares the complete observable outcome with ``==`` (no
-tolerances): makespan, event counts, finish times, per-task execution
-segments, per-resource utilization traces, and the fault injector's
-kill/requeue log.  Any float that drifts by one ulp fails.
+The engine's numpy slot arrays, cached lane allocations, sorted-cap
+water-fill with masked writes, and one-occupant shortcut are only
+allowed to make it *faster* than the plain per-event Python scan below
+(:func:`reference_run`) — never different.  Every test here runs the
+same workload through both and compares the complete observable
+outcome with ``==`` (no tolerances): makespan, event counts, finish
+times, per-task execution segments, per-resource utilization traces,
+and the fault injector's kill/requeue log.  Any float that drifts by
+one ulp fails.
 
 Workloads come from four sources: hand-built DAGs covering the
-engine's edge cases, hypothesis-generated random DAGs, a wide
-single-lane pile-up under a straggler window, and real compiled plans
-(narrow W&D and wide CAN).
+engine's edge cases, hypothesis-generated random DAGs (narrow and
+wide), single lanes that pile up to tens of occupants and drain again
+(under straggler windows and crashes), and real compiled plans (narrow
+W&D and wide CAN).
 """
 
 import math
@@ -30,7 +32,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.hardware import eflops_cluster
 from repro.models import can
 from repro.sim import Engine, Phase, Resource, ResourceKind, SimTask
-from repro.sim.engine import _EPS, SimResult
+from repro.sim.engine import _EPS, _MASK_MIN, SimResult
 from repro.sim.trace import TaskRecord, TraceRecorder
 
 KINDS = (ResourceKind.NET, ResourceKind.GPU_SM, ResourceKind.HBM,
@@ -320,6 +322,29 @@ class TestHandBuiltEquivalence:
                     for i, cap in enumerate(caps)]
         _check(self._resources, tasks)
 
+    @pytest.mark.parametrize("half", [1, _MASK_MIN])
+    def test_simultaneous_capped_and_uncapped_completions(self, half):
+        # ``half`` uncapped tasks, then ``half`` admitted later with a
+        # cap of 1 below the fair share of 2.5; the rest get 4 each,
+        # and works are sized so all finish at t=1 in one event.  The
+        # reference emits the capped ones first (allocation order),
+        # not in admission order.
+        def tasks():
+            free = [SimTask(f"u{i}", [Phase(ResourceKind.NET, 4.0)])
+                    for i in range(half)]
+            capped = [SimTask(f"c{i}", [Phase(ResourceKind.NET, 1.0,
+                                              max_rate=1.0)])
+                      for i in range(half)]
+            return free + capped
+
+        def resources():
+            return {ResourceKind.NET: Resource(ResourceKind.NET,
+                                               capacity=5.0 * half)}
+        (reference, result), _logs = _both_runs(resources, tasks)
+        _assert_bitwise_equal(reference, result)
+        assert reference.event_count == 1
+        assert reference.task_records[0].name == "c0"
+
     def test_fifo_slot_queue_ordering(self):
         def tasks():
             # 5 tasks through a 2-slot resource: admission order and
@@ -423,10 +448,39 @@ def _materialize(spec):
     return resources, tasks
 
 
+@st.composite
+def wide_lane_specs(draw):
+    """Tens of tasks piling onto the first kind's lane, with caps drawn
+    around its fair share so capped and uncapped fills both occur."""
+    n = draw(st.integers(min_value=_MASK_MIN, max_value=48))
+    capacity = draw(st.floats(min_value=1.0, max_value=100.0))
+    fair = capacity / n
+    work = st.floats(min_value=1e-3, max_value=1e3)
+    tasks = []
+    for i in range(n):
+        cap = draw(st.one_of(st.none(), st.floats(min_value=0.2 * fair,
+                                                  max_value=3.0 * fair)))
+        phases = [(0, draw(work), cap)]
+        if draw(st.booleans()):
+            phases.append((1, draw(work), None))
+        preds = ([draw(st.integers(min_value=0, max_value=i - 1))]
+                 if i and draw(st.integers(min_value=0, max_value=3)) == 0
+                 else [])
+        tasks.append((phases, preds))
+    capacities = (capacity,) + tuple(
+        draw(st.floats(min_value=0.5, max_value=100.0)) for _ in KINDS[1:])
+    return tasks, capacities, None
+
+
 class TestRandomDagEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(dag_specs())
     def test_random_dag_bitwise(self, spec):
+        _check(*_materialize(spec))
+
+    @settings(max_examples=25, deadline=None)
+    @given(wide_lane_specs())
+    def test_random_wide_lane_bitwise(self, spec):
         _check(*_materialize(spec))
 
 
@@ -530,6 +584,108 @@ class TestWideLaneEquivalence:
         assert logs[1] == logs[0]
         window = self._plan(count).events[0]
         assert result.makespan > window.time_s + window.duration_s
+
+
+class _ProbeResource(Resource):
+    """A resource that logs, for every reference allocation, its
+    occupancy, whether anyone sat below fair share, and the scale."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen: list = []
+
+    def allocate_rates(self, scale: float = 1.0) -> dict:
+        if self.active:
+            fair = self.capacity * min(1.0, max(scale, 0.0)) / len(
+                self.active)
+            self.seen.append((len(self.active),
+                              any(task.current_phase.max_rate < fair
+                                  for task in self.active), scale))
+        return super().allocate_rates(scale)
+
+
+class TestClimbingLaneEquivalence:
+    """One GPU lane fed a task every 0.1 s by a NET chain: occupancy
+    climbs from 1 past 100 and drains back to 1, crossing the masked
+    fill's occupancy threshold both ways.  Short low-cap tasks come and
+    go, so uniform and capped fills alternate while the lane is wide."""
+
+    CAPACITY = 100.0
+    COUNT = 120
+
+    def _tasks(self):
+        out = []
+        feeder = None
+        for i in range(self.COUNT):
+            step = SimTask(f"s{i}", [Phase(ResourceKind.NET, 1.0)])
+            if feeder is not None:
+                step.depends_on(feeder)
+            feeder = step
+            if i % 8 == 0:
+                phase = Phase(ResourceKind.GPU_SM, 0.1 + (i % 3) * 0.02,
+                              max_rate=0.6)
+            elif i % 4 == 1:
+                phase = Phase(ResourceKind.GPU_SM, 40.0 + i * 13 % 30,
+                              max_rate=self.CAPACITY / (20 + i % 50))
+            elif i % 4 == 2:
+                phase = Phase(ResourceKind.GPU_SM, 60.0 + i * 7919 % 97)
+            else:
+                phase = Phase(ResourceKind.GPU_SM, 80.0 + i * 31 % 53,
+                              max_rate=self.CAPACITY / (3 + i % 7))
+            work = SimTask(f"g{i}", [phase])
+            work.depends_on(step)
+            out += [step, work]
+        return out
+
+    def _run(self, plan=None):
+        built = []
+
+        def resources():
+            built.append({
+                ResourceKind.GPU_SM: _ProbeResource(ResourceKind.GPU_SM,
+                                                    capacity=self.CAPACITY),
+                ResourceKind.NET: Resource(ResourceKind.NET, capacity=10.0),
+            })
+            return built[-1]
+
+        (reference, result), logs = _both_runs(
+            resources, self._tasks,
+            (lambda: FaultInjector(plan)) if plan else None)
+        _assert_bitwise_equal(reference, result)
+        if plan:
+            assert logs[1] == logs[0]
+        # built[0] is the reference's: only it calls allocate_rates.
+        return built[0][ResourceKind.GPU_SM].seen, logs
+
+    def test_climb_and_drain_bitwise(self):
+        seen, _logs = self._run()
+        occupancy = [n for n, _capped, _scale in seen]
+        assert occupancy[0] == 1 and occupancy[-1] == 1
+        assert max(occupancy) >= 80
+        for wide in (False, True):
+            assert {capped for n, capped, _scale in seen
+                    if (n >= _MASK_MIN) == wide} == {False, True}
+        flips = sum(a[1] != b[1] for a, b in zip(seen, seen[1:])
+                    if min(a[0], b[0]) >= _MASK_MIN)
+        assert flips >= 4
+
+    def test_straggler_window_bitwise(self):
+        seen, _logs = self._run(FaultPlan(events=(
+            FaultEvent(kind="straggler", time_s=6.0, duration_s=20.0,
+                       severity=2.5),)))
+        assert {capped for n, capped, scale in seen
+                if n >= _MASK_MIN and 0.0 < scale < 1.0} == {False, True}
+
+    def test_crash_blackout_bitwise(self):
+        # The crash strikes while ~90 tasks share the GPU lane: every
+        # one is killed and requeued, then re-admitted into a blacked
+        # out (scale 0) lane until the downtime ends.
+        seen, logs = self._run(FaultPlan(events=(
+            FaultEvent(kind="crash", time_s=10.0, duration_s=1.5),)))
+        ((_kind, _t0, _t1, killed),) = logs[0]
+        assert killed >= 20 + 1  # the NET feeder holds at most one
+        assert any(n >= _MASK_MIN and scale == 0.0
+                   for n, _capped, scale in seen)
 
 
 # ---------------------------------------------------------------------

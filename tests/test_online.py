@@ -173,6 +173,26 @@ class TestRegistry:
     def test_rejects_unknown_version(self, tmp_path):
         with pytest.raises(ValueError):
             SnapshotRegistry(tmp_path).chain(99)
+
+    def test_delta_size_independent_of_provenance(self, tmp_path):
+        # The same delta published from a checkout with and without a
+        # git description: the files differ, the priced size must not.
+        entries = []
+        for name, describe in (("plain", "unknown"),
+                               ("git", "v0.13-4-g64606625-dirty")):
+            registry = SnapshotRegistry(tmp_path / name)
+            network = _network(seed=0)
+            provenance = {"git": describe}
+            registry.publish(network, step=0, provenance=provenance)
+            field = next(iter(network.embeddings))
+            entries.append(registry.publish(
+                network, step=1, dirty_rows={field: [1, 2, 3]},
+                provenance=provenance))
+        plain, git = entries
+        assert plain.kind == git.kind == "delta"
+        assert plain.nbytes == git.nbytes
+        assert ((tmp_path / "plain" / plain.filename).stat().st_size
+                != (tmp_path / "git" / git.filename).stat().st_size)
         with pytest.raises(ValueError):
             SnapshotRegistry(tmp_path, max_chain=0)
 

@@ -187,3 +187,38 @@ class TestNodeResources:
             task = SimTask("t", [Phase(ResourceKind.GPU_SM, 1e9)])
             result = engine.run([task])
             assert result.makespan > 0
+
+
+class TestEngineCounters:
+    def test_rebuilds_and_peak_occupancy(self):
+        engine = _engine(**{ResourceKind.NET: 10.0,
+                            ResourceKind.GPU_SM: 5.0,
+                            ResourceKind.CPU: 1.0})
+        a, b, c = (SimTask(name, [Phase(ResourceKind.NET, work)])
+                   for name, work in (("a", 10.0), ("b", 20.0),
+                                      ("c", 30.0)))
+        d = SimTask("d", [Phase(ResourceKind.GPU_SM, 5.0)])
+        d.depends_on(a)
+        result = engine.run([a, b, c, d])
+        # NET is filled for {a,b,c} at t=0, for {b,c} once a finishes
+        # at t=3 (with GPU for {d}), and for {c} once b finishes at
+        # t=5; d leaving GPU at t=4 empties the lane without a refill.
+        assert result.lane_rebuilds == 4
+        assert result.peak_occupancy == {"net": 3, "gpu_sm": 1, "cpu": 0}
+        assert result.makespan == pytest.approx(6.0)
+
+    def test_peak_occupancy_counts_slots_not_queue(self):
+        resources = {ResourceKind.LAUNCH: Resource(
+            ResourceKind.LAUNCH, capacity=2.0, slots=2)}
+        tasks = [SimTask(f"q{i}", [Phase(ResourceKind.LAUNCH, 1.0)])
+                 for i in range(5)]
+        result = Engine(resources).run(tasks)
+        assert result.peak_occupancy == {"launch": 2}
+
+    def test_counters_stay_out_of_the_summary(self):
+        engine = _engine(**{ResourceKind.NET: 10.0})
+        summary = engine.run(
+            [SimTask("t", [Phase(ResourceKind.NET, 1.0)])]).summary()
+        assert set(summary.as_dict()) == {
+            "makespan", "task_count", "event_count", "busy_seconds",
+            "work_done"}
