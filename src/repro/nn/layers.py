@@ -6,13 +6,17 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    """Numerically stable logistic function, as a float64 array.
+
+    ``e = exp(min(x, -x)) = exp(-|x|)`` never overflows, and the two
+    stable branches, ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)``
+    below, share one division: bit for bit the two masked passes, in
+    one.  ``np.minimum`` rather than ``-abs`` keeps a NaN's sign bit.
+    """
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out.astype(np.float64, copy=False)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -77,7 +81,11 @@ class DenseEmbedding:
     IDs are folded into ``vocab_rows`` via modulo (the standard hash
     trick) so laptop-scale training can consume the full-scale ID
     streams.  Gradients accumulate into a sparse (ids, deltas) list the
-    optimizer applies with ``np.add.at`` semantics.
+    optimizer scatters with
+    :func:`~repro.embedding.table.scatter_add_rows`, a flat 1-D
+    ``np.add.at`` at ``row * dim + j``.  Each element folds its
+    updates left to right in index order (duplicate rows included),
+    so the sums equal the 2-D ``np.add.at`` bit for bit.
     """
 
     def __init__(self, vocab_rows: int, dim: int, name: str,

@@ -134,12 +134,11 @@ class WdlNetwork:
         grad = grad_logits.reshape(-1, 1)
         grad = self.mlp[-1].backward(grad)
         for index in range(len(self.mlp) - 2, -1, -1):
-            layer = self.mlp[index]
-            # activations[index] is the *input* of layer `index`; redo
-            # the pre-activation to gate the ReLU gradient.
-            pre = activations[index] @ layer.weight + layer.bias
-            grad = relu_grad(pre, grad)
-            grad = layer.backward(grad)
+            # activations[index + 1] = relu(pre) of layer `index`, and
+            # relu(pre) > 0 exactly where pre > 0, so it gates the
+            # ReLU gradient without recomputing pre.
+            grad = relu_grad(activations[index + 1], grad)
+            grad = self.mlp[index].backward(grad)
 
         # Split the concatenated feature gradient back into segments.
         fields_dim = stack.shape[1] * stack.shape[2]

@@ -14,6 +14,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.embedding.table import scatter_add_rows
+
+
+def _slot(slots: dict, name: str, like: np.ndarray) -> np.ndarray:
+    """``slots[name]``, created on first use as zeros shaped like ``like``.
+
+    ``setdefault`` would build a zero array on every step (a full-table
+    array per embedding table).  ``np.zeros``, unlike ``np.zeros_like``,
+    gets fresh zero pages from the OS that stay unmapped until written,
+    so a sparse slot only costs memory for the rows updates touch.
+    """
+    slot = slots.get(name)
+    if slot is None:
+        slot = slots[name] = np.zeros(like.shape, like.dtype)
+    return slot
+
 
 class Optimizer:
     """Base optimizer: handles sparse embedding updates via Adagrad.
@@ -72,13 +88,12 @@ class Optimizer:
         """Subclass hook: restore :meth:`_extra_state_arrays` slots."""
 
     def _sparse_update(self, table) -> None:
-        state = self._sparse_state.setdefault(
-            table.name, np.zeros(table.table.shape, dtype=np.float64))
+        state = _slot(self._sparse_state, table.name, table.table)
         for rows, grads in table.sparse_grads():
-            np.add.at(state, rows, grads ** 2)
+            scatter_add_rows(state, rows, grads ** 2)
             denom = np.sqrt(state[rows]) + 1e-8
-            np.add.at(table.table, rows,
-                      -self.sparse_lr * grads / denom)
+            scatter_add_rows(table.table, rows,
+                             -self.sparse_lr * grads / denom)
 
 
 class SGD(Optimizer):
@@ -94,8 +109,7 @@ class SGD(Optimizer):
 
     def _dense_update(self, name, value, grad):
         if self.momentum:
-            velocity = self._velocity.setdefault(name,
-                                                 np.zeros_like(value))
+            velocity = _slot(self._velocity, name, value)
             velocity *= self.momentum
             velocity += grad
             value -= self.lr * velocity
@@ -124,7 +138,7 @@ class Adagrad(Optimizer):
         self._accumulator: dict = {}
 
     def _dense_update(self, name, value, grad):
-        acc = self._accumulator.setdefault(name, np.zeros_like(value))
+        acc = _slot(self._accumulator, name, value)
         acc += grad ** 2
         value -= self.lr * grad / (np.sqrt(acc) + self.epsilon)
 
@@ -159,8 +173,8 @@ class Adam(Optimizer):
         super().step(params, sparse_tables)
 
     def _dense_update(self, name, value, grad):
-        m = self._m.setdefault(name, np.zeros_like(value))
-        v = self._v.setdefault(name, np.zeros_like(value))
+        m = _slot(self._m, name, value)
+        v = _slot(self._v, name, value)
         m *= self.beta1
         m += (1 - self.beta1) * grad
         v *= self.beta2
@@ -196,8 +210,8 @@ class Lamb(Adam):
     """
 
     def _dense_update(self, name, value, grad):
-        m = self._m.setdefault(name, np.zeros_like(value))
-        v = self._v.setdefault(name, np.zeros_like(value))
+        m = _slot(self._m, name, value)
+        v = _slot(self._v, name, value)
         m *= self.beta1
         m += (1 - self.beta1) * grad
         v *= self.beta2
