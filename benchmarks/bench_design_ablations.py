@@ -37,14 +37,14 @@ def test_launch_slots_sensitivity(benchmark):
     cluster = eflops_cluster(4)
     plan = _baseline_plan(model, cluster, 4096)
     graph = IterationGraphBuilder(plan).build(2)
+    table = graph.to_task_table(plan.cost.launch_per_micro_op)
 
     def run():
         results = {}
         for slots in (1, 2, 4, 8):
             resources = build_node_resources(cluster.node,
                                              launch_slots=slots)
-            tasks = graph.to_sim_tasks(plan.cost.launch_per_micro_op)
-            results[slots] = Engine(resources).run(tasks).makespan
+            results[slots] = Engine(resources).run(table).makespan
         return results
 
     results = run_once(benchmark, run)
@@ -52,7 +52,6 @@ def test_launch_slots_sensitivity(benchmark):
             for slots, span in results.items()]
     show("design ablation: launch slots", rows)
     assert results[1] > results[4]  # dispatch parallelism helps
-    # Rebuild tasks each round: graph reuse would corrupt indegrees.
 
 
 def test_fusion_trades_launch_not_hardware_work(benchmark):

@@ -1,7 +1,7 @@
 """Executing plans on the simulator and reporting the paper's metrics.
 
 :func:`simulate_plan` is the shared measurement harness: it compiles an
-:class:`~repro.graph.builder.ExecutionPlan` to an operator graph, runs
+:class:`~repro.graph.builder.ExecutionPlan` to a task table, runs
 it, and reports the metrics the paper's tables use (IPS, SM
 utilization, PCIe GB/s, network Gbps, breakdowns).
 :class:`PicassoExecutor` wraps it behind the user-facing API.
@@ -80,12 +80,26 @@ class RunReport:
         return instances / self.ips / 3600.0
 
 
+@dataclass(frozen=True)
+class PlanSummary:
+    """What a report needs of a compiled plan's operator graph.
+
+    :param name: the graph's name (the report's default name).
+    :param op_count: logical ops in the graph, all iterations.
+    :param micro_ops: framework-level operations, all iterations.
+    """
+
+    name: str
+    op_count: int
+    micro_ops: int
+
+
 #: Compiled-plan cache: ``(plan fingerprint, iterations)`` ->
-#: ``(graph, tasks, initial indegrees)``.  Graph building is fully
-#: deterministic (workload statistics are seeded), so two plans with
-#: equal signatures compile to identical graphs; repeated
-#: bench/tune/replay invocations of the same workload skip the rebuild
-#: entirely.  Bounded FIFO so sweeps over many configs stay flat.
+#: ``(summary, table)``.  Graph building is fully deterministic
+#: (workload statistics are seeded), so two plans with equal signatures
+#: compile to identical tables; repeated bench/tune/replay invocations
+#: of the same workload skip the rebuild entirely.  Bounded LRU (a hit
+#: moves to the back) so sweeps over many configs stay flat.
 _COMPILE_CACHE: OrderedDict = OrderedDict()
 _COMPILE_CACHE_MAX = 64
 
@@ -95,38 +109,36 @@ def clear_compile_cache() -> None:
     _COMPILE_CACHE.clear()
 
 
-def _reset_tasks(tasks: list, indegrees: list) -> None:
-    """Rewind cached ``SimTask`` objects to their just-built state.
+def launch_costs(plan: ExecutionPlan,
+                 micro_ops_per_iteration: float) -> tuple:
+    """``(seconds per micro-op, floor per op)`` of a plan's launch phases.
 
-    The engine consumes tasks destructively (indegrees count down,
-    phases advance, remaining work drains); a cache hit hands out the
-    same objects, so they are rewound first.  This mirrors exactly what
-    ``Graph.to_sim_tasks`` initialises.
+    Very large graphs pay superlinear executor scheduling cost (the
+    reason Tab. VIII's PS baseline falls below arithmetic progression
+    as feature fields multiply), so both scale past the cost model's
+    graph-overhead knee.
     """
-    for task, indegree in zip(tasks, indegrees):
-        task.indegree = indegree
-        task._phase_index = 0
-        task.remaining = task.phases[0].work if task.phases else 0.0
-        task.finish_time = None
-        task.start_time = None
+    overhead = 1.0 + max(0.0, micro_ops_per_iteration
+                         / plan.cost.graph_overhead_knee - 1.0)
+    return (plan.cost.launch_per_micro_op * plan.launch_scale * overhead,
+            plan.cost.launch_floor * plan.launch_scale * overhead)
 
 
 def compile_plan(plan: ExecutionPlan, iterations: int) -> tuple:
-    """Compile a plan to ``(graph, tasks, resources)``, costs applied.
+    """Compile a plan to ``(summary, table, resources)``, costs applied.
 
     This is the deterministic front half of :func:`simulate_plan`: the
-    operator graph, the launch-cost projection (including the
-    superlinear large-graph scheduling overhead) and the node's
-    resource set — everything the engine needs, and everything the
-    what-if predictor (:mod:`repro.tuning`) needs to total per-kind
-    work without running the engine.
+    operator graph's :class:`PlanSummary`, its compiled
+    :class:`~repro.sim.engine.TaskTable` (launch-cost projection
+    included) and the node's resource set — everything the engine
+    needs, and everything the what-if predictor (:mod:`repro.tuning`)
+    needs to total per-kind work without running the engine.
 
     Results are cached keyed by the sha256 fingerprint of
     ``plan.signature()`` plus ``iterations``; a hit returns the cached
-    graph with its task set rewound to the just-built state (the task
-    objects are shared, so do not interleave two concurrent engine
-    runs of the same compiled plan).  Resources are always rebuilt —
-    they carry engine occupancy state.
+    summary and table themselves, which are immutable, so any number of
+    runs may share them.  Resources are always rebuilt — they carry
+    engine occupancy state.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -145,26 +157,18 @@ def compile_plan(plan: ExecutionPlan, iterations: int) -> tuple:
     key = (fingerprint, iterations)
     cached = _COMPILE_CACHE.get(key)
     if cached is not None:
-        graph, tasks, indegrees = cached
         _COMPILE_CACHE.move_to_end(key)
-        _reset_tasks(tasks, indegrees)
-        return graph, tasks, build_node_resources(plan.cluster.node)
-    builder = IterationGraphBuilder(plan)
-    graph = builder.build(iterations)
-    # Very large graphs pay superlinear executor scheduling cost (the
-    # reason Tab. VIII's PS baseline falls below arithmetic progression
-    # as feature fields multiply).
-    micro_per_iteration = graph.total_micro_ops / iterations
-    overhead = 1.0 + max(0.0, micro_per_iteration
-                         / plan.cost.graph_overhead_knee - 1.0)
-    launch = plan.cost.launch_per_micro_op * plan.launch_scale * overhead
-    floor = plan.cost.launch_floor * plan.launch_scale * overhead
-    tasks = graph.to_sim_tasks(launch, floor)
-    resources = build_node_resources(plan.cluster.node)
-    _COMPILE_CACHE[key] = (graph, tasks, [task.indegree for task in tasks])
-    while len(_COMPILE_CACHE) > _COMPILE_CACHE_MAX:
-        _COMPILE_CACHE.popitem(last=False)
-    return graph, tasks, resources
+    else:
+        graph = IterationGraphBuilder(plan).build(iterations)
+        micro_ops = graph.total_micro_ops
+        table = graph.to_task_table(
+            *launch_costs(plan, micro_ops / iterations))
+        cached = (PlanSummary(graph.name, len(graph), micro_ops), table)
+        _COMPILE_CACHE[key] = cached
+        while len(_COMPILE_CACHE) > _COMPILE_CACHE_MAX:
+            _COMPILE_CACHE.popitem(last=False)
+    summary, table = cached
+    return summary, table, build_node_resources(plan.cluster.node)
 
 
 def per_iteration_seconds(makespan: float, first_step_end: float,
@@ -206,13 +210,13 @@ def simulate_plan(plan: ExecutionPlan, iterations: int = 3,
     scale resource capacity over their windows, so the reported
     throughput is the *faulted* throughput.
     """
-    graph, tasks, resources = compile_plan(plan, iterations)
+    summary, table, resources = compile_plan(plan, iterations)
     engine = Engine(resources)
     injector = None
     if fault_plan is not None and len(fault_plan):
         from repro.faults.inject import FaultInjector
         injector = FaultInjector(fault_plan)
-    result = engine.run(tasks, keep_finish_times=True,
+    result = engine.run(table, keep_finish_times=True,
                         record_tasks=record_tasks, injector=injector)
 
     first_end = result.finish_times.get("it0/step_end", 0.0) or 0.0
@@ -226,7 +230,7 @@ def simulate_plan(plan: ExecutionPlan, iterations: int = 3,
     gpu_busy = result.recorder.union_busy_seconds(
         (ResourceKind.GPU_SM, ResourceKind.HBM))
     return RunReport(
-        name=name or graph.name,
+        name=name or summary.name,
         batch_size=plan.batch_size,
         iterations=iterations,
         seconds_per_iteration=per_iteration,
@@ -240,8 +244,8 @@ def simulate_plan(plan: ExecutionPlan, iterations: int = 3,
         pcie_gbps=result.mean_rate(ResourceKind.PCIE) / 1e9,
         net_gbps=result.mean_rate(ResourceKind.NET) * 8.0 / 1e9,
         nvlink_gbps=nvlink_rate * 8.0 / 1e9,
-        op_count=len(graph),
-        micro_ops=graph.total_micro_ops // iterations,
+        op_count=summary.op_count,
+        micro_ops=summary.micro_ops // iterations,
         packed_embeddings=len(plan.groups),
         result=result,
     )

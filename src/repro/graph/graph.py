@@ -1,20 +1,20 @@
-"""The operator DAG container and its compilation to simulator tasks."""
+"""The operator DAG container and its compilation to a task table."""
 
 from __future__ import annotations
 
 from collections import deque
 
 from repro.graph.op import Op
-from repro.sim.engine import SimTask
-from repro.sim.resource import Phase, ResourceKind
+from repro.sim.engine import TaskTable
+from repro.sim.resource import ResourceKind
 
 
 class Graph:
     """A DAG of :class:`~repro.graph.op.Op` nodes.
 
     Edges express control/data dependencies.  The graph validates
-    acyclicity on demand and compiles to :class:`~repro.sim.engine.SimTask`
-    lists for execution.
+    acyclicity on demand and compiles to a
+    :class:`~repro.sim.engine.TaskTable` for execution.
     """
 
     def __init__(self, name: str = "graph"):
@@ -90,31 +90,47 @@ class Graph:
         """Raise :class:`ValueError` if the graph is cyclic."""
         self.topological_order()
 
-    def to_sim_tasks(self, launch_seconds_per_micro_op: float,
-                     launch_floor: float = 0.0) -> list:
-        """Compile to simulator tasks.
+    def to_task_table(self, launch_seconds_per_micro_op: float,
+                      launch_floor: float = 0.0) -> TaskTable:
+        """Compile to the engine's immutable :class:`TaskTable`.
 
         Each op gets a leading ``LAUNCH`` phase of
         ``micro_ops * launch_seconds_per_micro_op`` (plus ``launch_floor``
         per logical op), then its hardware phases.  Dependency edges are
-        translated one-to-one.
+        translated one-to-one: walking ops in graph order, each op is
+        appended to its predecessors' successor rows.  That order (not
+        ``add_edge`` order) decides which of several newly ready tasks
+        is admitted first, so every committed result depends on it.
         """
         if launch_seconds_per_micro_op < 0:
             raise ValueError("launch cost must be >= 0")
-        tasks = {}
-        for op in self.ops:
-            phases = []
+        ops = self.ops
+        index = {op.name: tid for tid, op in enumerate(ops)}
+        launch_kind = ResourceKind.LAUNCH.value
+        # Ops repeat across iterations and groups, so equal phase and
+        # tag rows share one tuple: Tab. VII tables have 5-15x fewer
+        # distinct rows than tasks, and sharing cuts their size ~60%.
+        shared = {}.setdefault
+        phases = []
+        succs: list = [[] for _ in ops]
+        for tid, op in enumerate(ops):
+            rows = []
             launch = (op.micro_ops * launch_seconds_per_micro_op
                       + launch_floor)
             if launch > 0:
                 # One op's dispatch occupies a single executor thread
                 # (rate 1.0); parallelism only helps across ops.
-                phases.append(Phase(ResourceKind.LAUNCH, launch,
-                                    max_rate=1.0))
-            phases.extend(op.phases)
-            tasks[op.name] = SimTask(op.name, phases, tags=op.tags)
-        for op in self.ops:
-            task = tasks[op.name]
+                rows.append((launch_kind, launch, 1.0))
+            for phase in op.phases:
+                rows.append((phase.kind.value, phase.work, phase.max_rate))
+            rows = tuple(rows)
+            phases.append(shared(rows, rows))
             for pred in self._preds[op.name]:
-                task.depends_on(tasks[pred])
-        return [tasks[op.name] for op in self.ops]
+                succs[index[pred]].append(tid)
+        return TaskTable(
+            names=tuple([op.name for op in ops]),
+            phases=tuple(phases),
+            succs=tuple([tuple(row) for row in succs]),
+            indegree=tuple([len(self._preds[op.name]) for op in ops]),
+            tags=tuple([shared(tags, tags) for tags in
+                        (tuple(op.tags.items()) for op in ops)]))

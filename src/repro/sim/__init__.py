@@ -13,6 +13,7 @@ from repro.sim.engine import (
     SimResult,
     SimSummary,
     SimTask,
+    TaskTable,
     build_node_resources,
 )
 from repro.sim.trace import (
@@ -37,6 +38,7 @@ __all__ = [
     "SimResult",
     "SimSummary",
     "SimTask",
+    "TaskTable",
     "build_node_resources",
     "FrozenTrace",
     "ResourceTrace",

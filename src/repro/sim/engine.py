@@ -2,8 +2,9 @@
 
 Execution model:
 
-* Every :class:`SimTask` runs its :class:`~repro.sim.resource.Phase`
-  list in order; a phase occupies exactly one resource.
+* Every task (a :class:`TaskTable` row, or a hand-built
+  :class:`SimTask`) runs its phases in order; a phase occupies exactly
+  one resource.
 * A task becomes *ready* once all its predecessors finished; ready
   tasks are admitted to their first phase's resource, waiting FIFO if
   the resource has no free slot (the launch queue has one slot).
@@ -46,6 +47,11 @@ _MASK_MIN = 16
 class SimTask:
     """One schedulable unit: an operator instance with sequential phases.
 
+    The hand-built form of a DAG node; :meth:`TaskTable.from_tasks`
+    compiles a list of them for :meth:`Engine.run`, which never writes
+    to them.  The progress fields (``indegree`` aside, which is the
+    initial count) are for step-by-step drivers of :class:`Resource`.
+
     :param name: identifier for debugging and per-task metrics.
     :param phases: the resource demands, executed in order.  Zero-work
         phases complete immediately and are allowed (useful for pure
@@ -55,8 +61,7 @@ class SimTask:
     """
 
     __slots__ = ("name", "phases", "tags", "succs", "indegree",
-                 "_phase_index", "remaining", "finish_time", "start_time",
-                 "_slot", "_cap")
+                 "_phase_index", "remaining", "finish_time", "start_time")
 
     def __init__(self, name: str, phases: list, tags: dict | None = None):
         self.name = name
@@ -68,10 +73,6 @@ class SimTask:
         self.remaining = self.phases[0].work if self.phases else 0.0
         self.finish_time: float | None = None
         self.start_time: float | None = None
-        #: slot index in the engine's arrays (-1 = inactive)
-        #: and the current phase's max_rate, both engine-managed.
-        self._slot = -1
-        self._cap = math.inf
 
     @property
     def current_phase(self) -> Phase:
@@ -98,6 +99,72 @@ class SimTask:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimTask({self.name!r}, phases={len(self.phases)})"
+
+
+@dataclass(frozen=True, repr=False)
+class TaskTable:
+    """A compiled DAG: the engine's immutable input.
+
+    Task ``i`` is row ``i`` of every field, and each field is a tuple
+    of tuples of strings and numbers.  CPython's collector untracks
+    such tuples, so a table costs it O(1) tracked objects however many
+    tasks it holds, and a cache may keep thousands of them.  Every
+    per-run value (indegree countdown, phase index, slot, times) lives
+    in :meth:`Engine.run`'s own lists, so one table can be run any
+    number of times.
+
+    :param names: task names.
+    :param phases: per task, ``(kind value, work, max_rate)`` rows in
+        execution order.
+    :param succs: per task, the ids of the tasks waiting on it, in the
+        order their dependencies were declared; the order fixes the
+        admission order of tasks that become ready together.
+    :param indegree: per task, the dependency count before the run.
+    :param tags: per task, its tags as ``(key, value)`` pairs.
+    """
+
+    __slots__ = ("names", "phases", "succs", "indegree", "tags")
+
+    names: tuple
+    phases: tuple
+    succs: tuple
+    indegree: tuple
+    tags: tuple
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"TaskTable({len(self.names)} tasks)"
+
+    @classmethod
+    def from_tasks(cls, tasks: list) -> "TaskTable":
+        """Compile hand-built :class:`SimTask` objects, list order kept.
+
+        Raises :class:`ValueError` when a task's successor is not in
+        ``tasks``: it could never run, and its predecessor would have
+        nothing to release.
+        """
+        ids = {id(task): tid for tid, task in enumerate(tasks)}
+        phases, succs = [], []
+        for task in tasks:
+            row = []
+            for succ in task.succs:
+                tid = ids.get(id(succ))
+                if tid is None:
+                    raise ValueError(
+                        f"task {succ.name!r} depends on {task.name!r} "
+                        "but is not in the task list")
+                row.append(tid)
+            succs.append(tuple(row))
+            phases.append(tuple([(phase.kind.value, phase.work,
+                                  phase.max_rate)
+                                 for phase in task.phases]))
+        return cls(names=tuple([task.name for task in tasks]),
+                   phases=tuple(phases), succs=tuple(succs),
+                   indegree=tuple([task.indegree for task in tasks]),
+                   tags=tuple([tuple(task.tags.items())
+                               for task in tasks]))
 
 
 @dataclass
@@ -230,12 +297,12 @@ class _Lane:
     The water-filling allocation is a pure function of the occupant
     list and the fault scale, so a lane caches it and only recomputes
     when membership or scale actually changed (the ``dirty`` flag).
-    ``caps`` holds one ``(max_rate, admission number, task)`` entry per
-    occupant, kept sorted so every water-fill iteration's capped set
-    is a prefix.  ``capped`` maps the tasks the last fill capped to
-    negative keys in :meth:`Resource.allocate_rates` order; the
-    uncapped rest follow in admission order, keyed by admission number
-    — together the order the engine emits completions in.
+    ``caps`` holds one ``(max_rate, admission number, task id)`` entry
+    per occupant, kept sorted so every water-fill iteration's capped
+    set is a prefix.  ``capped`` maps the task ids the last fill
+    capped to negative keys in :meth:`Resource.allocate_rates` order;
+    the uncapped rest follow in admission order, keyed by admission
+    number — together the order the engine emits completions in.
     """
 
     __slots__ = ("capacity", "index", "caps", "capped", "total",
@@ -267,7 +334,7 @@ class _Lane:
 
 
 class Engine:
-    """Runs a set of :class:`SimTask` DAG nodes to completion.
+    """Runs a :class:`TaskTable` (or a :class:`SimTask` list) to completion.
 
     Every active task's remaining work lives in a flat numpy slot
     array, per-resource rate allocations are cached until membership
@@ -282,9 +349,16 @@ class Engine:
         """:param resources: mapping of kind -> :class:`Resource`."""
         self.resources = resources
 
-    def run(self, tasks: list, keep_finish_times: bool = False,
+    def run(self, tasks, keep_finish_times: bool = False,
             record_tasks: bool = False, injector=None) -> SimResult:
         """Execute ``tasks`` and return timing plus utilization traces.
+
+        ``tasks`` is a :class:`TaskTable` or a list of :class:`SimTask`
+        (compiled with :meth:`TaskTable.from_tasks`, which raises
+        :class:`ValueError` on a successor missing from the list).
+        Neither is written to: every per-run value lives in lists
+        indexed by task id, so a compiled table can be cached and run
+        again.
 
         With ``record_tasks=True`` the result additionally carries one
         :class:`~repro.sim.trace.TaskRecord` per task (dependency
@@ -308,6 +382,9 @@ class Engine:
 
         Design (see DESIGN.md "Engine internals"):
 
+        * per-task state (indegree countdown, phase index, slot, start
+          and finish times) lives in lists indexed by task id, and
+          ``Resource.active``/``queue`` and the lanes hold task ids;
         * every *active* task owns a slot in flat float64 arrays
           (``remaining``/``rate``/``thresh``); slots are recycled
           through a free list, so array length tracks peak concurrency,
@@ -333,6 +410,13 @@ class Engine:
         totals, completion emission) runs in
         :meth:`Resource.allocate_rates` order.
         """
+        table = (tasks if isinstance(tasks, TaskTable)
+                 else TaskTable.from_tasks(tasks))
+        names = table.names
+        phases = table.phases
+        succs = table.succs
+        tags = table.tags
+        total = len(names)
         resources = self.resources
         res_items = list(resources.items())
         for resource in resources.values():
@@ -344,18 +428,25 @@ class Engine:
         events = 0
         rebuilds = 0
         finished = 0
-        total = len(tasks)
         running: set = set()
         running_add = running.add
         records: list = []
         segment_start: dict = {}
         segments: dict = {}
-        pred_names: dict = {}
+        pred_names: list = []
         if record_tasks:
-            pred_names = {id(task): [] for task in tasks}
-            for task in tasks:
-                for succ in task.succs:
-                    pred_names[id(succ)].append(task.name)
+            pred_names = [[] for _ in names]
+            for name, task_succs in zip(names, succs):
+                for succ in task_succs:
+                    pred_names[succ].append(name)
+
+        # --- per-run task state, indexed by task id ---------------------
+        indegree = list(table.indegree)
+        phase_index = [0] * total
+        #: the task's slot while it is active (stale otherwise).
+        task_slot = [-1] * total
+        start_time: list = [None] * total
+        finish_time: list = [None] * total
 
         # --- flat slot state -------------------------------------------------
         cap = _MIN_SLOTS
@@ -376,9 +467,9 @@ class Engine:
         lane_list = [_Lane(res, recorder.trace(kind), index)
                      for index, (kind, res) in enumerate(res_items)]
         lanes = dict(zip(resources, lane_list))
-        #: ``(resource, lane)`` per kind, so hot paths pay one dict
-        #: lookup instead of two.
-        kind_info = {kind: (res, lanes[kind]) for kind, res in res_items}
+        #: ``(resource, lane)`` per kind value (the phase rows' key), so
+        #: hot paths pay one dict lookup instead of two.
+        kind_info = {kind.value: (res, lanes[kind]) for kind, res in res_items}
         #: lanes whose allocation must be recomputed before the next
         #: event (appended at most once each — the ``dirty`` flag).
         dirty_lanes: list = []
@@ -411,41 +502,43 @@ class Engine:
             free_slots.extend(range(new_cap - 1, cap - 1, -1))
             cap = new_cap
 
-        def occupy(task: SimTask, resource: Resource, lane: _Lane) -> None:
-            """Append ``task`` to ``resource.active``: admission number,
-            sorted-caps entry, slot and lane id."""
+        def occupy(tid: int, phase: tuple, resource: Resource,
+                   lane: _Lane) -> None:
+            """Append task ``tid``, entering ``phase``, to
+            ``resource.active``: admission number, sorted-caps entry,
+            slot and lane id."""
             if not free_slots:
                 grow()
             slot = free_slots.pop()
-            task._slot = slot
-            slot_task[slot] = task
+            task_slot[tid] = slot
+            slot_task[slot] = tid
             seq = next_seq()
             slot_seq[slot] = seq
             slot_lane[slot] = lane.index
-            resource.active.append(task)
-            insort(lane.caps, (task._cap, seq, task))
+            resource.active.append(tid)
+            insort(lane.caps, (phase[2], seq, tid))
             if not lane.dirty:
                 lane.dirty = True
                 dirty_append(lane)
-            remaining[slot] = task.remaining
-            running_add(task)
+            remaining[slot] = phase[1]
+            running_add(tid)
             if record_tasks:
-                segment_start[id(task)] = now
-            if task.start_time is None:
-                task.start_time = now
+                segment_start[tid] = now
+            if start_time[tid] is None:
+                start_time[tid] = now
 
         def drain_queue(resource: Resource, lane: _Lane) -> None:
             queue = resource.queue
             while queue and resource.has_free_slot():
-                occupy(queue.pop(0), resource, lane)
+                tid = queue.pop(0)
+                occupy(tid, phases[tid][phase_index[tid]], resource, lane)
 
-        def deactivate(task: SimTask) -> None:
-            slot = task._slot
-            task._slot = -1
+        def deactivate(tid: int) -> None:
+            slot = task_slot[tid]
             slot_task[slot] = None
             remaining[slot] = np.inf
             free_slots.append(slot)
-            running.discard(task)
+            running.discard(tid)
 
         def rebuild(lane: _Lane) -> None:
             """Recompute one resource's water-fill allocation.
@@ -483,10 +576,10 @@ class Engine:
                     # Kept because ~30% of allocations on the narrow
                     # W&D plan have one occupant (a ~5% loop-time win);
                     # a two-occupant shortcut measured as noise.
-                    max_rate, _seq, task = caps[0]
+                    max_rate, _seq, tid = caps[0]
                     task_rate = max_rate if max_rate < budget else budget
                     lane.total = task_rate
-                    slot = task._slot
+                    slot = task_slot[tid]
                     rate[slot] = task_rate
                     thresh[slot] = _EPS * (task_rate if task_rate > 1.0
                                            else 1.0)
@@ -509,8 +602,8 @@ class Engine:
                         break
                     newly = caps[lo:hi]
                     newly.sort(key=by_seq)
-                    for max_rate, _seq, task in newly:
-                        capped_tasks.append(task)
+                    for max_rate, _seq, tid in newly:
+                        capped_tasks.append(tid)
                         capped_rates.append(max_rate)
                         budget -= max_rate
                     lo = hi
@@ -533,78 +626,70 @@ class Engine:
                     np.putmask(rate, buf_cmp, fair)
                     np.putmask(thresh, buf_cmp, limit)
                 else:
-                    for _cap, _seq, task in (caps[lo:] if lo else caps):
-                        slot = task._slot
+                    for _cap, _seq, tid in (caps[lo:] if lo else caps):
+                        slot = task_slot[tid]
                         rate[slot] = fair
                         thresh[slot] = limit
             if capped_rates:
-                for task, task_rate in zip(capped_tasks, capped_rates):
-                    slot = task._slot
+                for tid, task_rate in zip(capped_tasks, capped_rates):
+                    slot = task_slot[tid]
                     rate[slot] = task_rate
                     thresh[slot] = _EPS * (task_rate if task_rate > 1.0
                                            else 1.0)
 
-        def end_segment(task: SimTask) -> None:
+        def end_segment(tid: int) -> None:
             if record_tasks:
-                start = segment_start.pop(id(task))
-                segments.setdefault(id(task), []).append(
-                    (task.current_phase.kind.value, start, now))
+                start = segment_start.pop(tid)
+                segments.setdefault(tid, []).append(
+                    (phases[tid][phase_index[tid]][0], start, now))
 
-        def admit(task: SimTask) -> None:
-            # Unrolled form of the ``done_with_phases`` /
-            # ``current_phase`` / ``advance_phase`` preamble, manipulating
-            # ``_phase_index`` directly: zero-work phases complete
-            # immediately, in the same order.
-            phases = task.phases
-            n_phases = len(phases)
-            index = task._phase_index
+        def admit(tid: int) -> None:
+            # Zero-work phases complete immediately, in order.
+            task_phases = phases[tid]
+            n_phases = len(task_phases)
+            index = phase_index[tid]
             while True:
                 if index >= n_phases:
-                    complete(task)
+                    complete(tid)
                     return
-                phase = phases[index]
-                if phase.work <= 0:
+                phase = task_phases[index]
+                if phase[1] <= 0:
                     index += 1
-                    task._phase_index = index
-                    if index >= n_phases:
-                        complete(task)
-                        return
-                    task.remaining = phases[index].work
+                    phase_index[tid] = index
                     continue
                 break
-            resource, lane = kind_info[phase.kind]
-            task._cap = phase.max_rate
+            resource, lane = kind_info[phase[0]]
             if resource.slots is None or len(resource.active) < resource.slots:
-                occupy(task, resource, lane)
+                occupy(tid, phase, resource, lane)
             else:
-                resource.queue.append(task)
-                if task.start_time is None:
-                    task.start_time = now
+                resource.queue.append(tid)
+                if start_time[tid] is None:
+                    start_time[tid] = now
 
-        def complete(task: SimTask) -> None:
+        def complete(tid: int) -> None:
             nonlocal finished
-            task.finish_time = now
+            finish_time[tid] = now
             finished += 1
             if record_tasks:
+                start = start_time[tid]
                 records.append(TaskRecord(
-                    name=task.name,
-                    start=task.start_time if task.start_time is not None
-                    else now,
+                    name=names[tid],
+                    start=start if start is not None else now,
                     end=now,
-                    preds=tuple(pred_names.get(id(task), ())),
-                    tags=dict(task.tags),
-                    segments=tuple(segments.pop(id(task), ()))))
-            for succ in task.succs:
-                succ.indegree -= 1
-                if succ.indegree == 0:
+                    preds=tuple(pred_names[tid]),
+                    tags=dict(tags[tid]),
+                    segments=tuple(segments.pop(tid, ()))))
+            for succ in succs[tid]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
                     admit(succ)
 
         # Snapshot the initial ready set first: admitting a zero-work
         # task can cascade completions that drop other tasks' indegree
         # to zero, and those are already admitted by the cascade.
-        initially_ready = [task for task in tasks if task.indegree == 0]
-        for task in initially_ready:
-            admit(task)
+        initially_ready = [tid for tid in range(total) if not indegree[tid]]
+        for tid in initially_ready:
+            admit(tid)
 
         def kill_in_flight() -> int:
             """Crash semantics: every in-flight task loses its current
@@ -612,12 +697,11 @@ class Engine:
             killed = 0
             for resource, lane in kind_info.values():
                 if resource.active:
-                    for task in resource.active:
+                    for tid in resource.active:
                         # The aborted occupancy stays visible.
-                        end_segment(task)
-                        task.remaining = task.current_phase.work
-                        deactivate(task)
-                        resource.queue.append(task)
+                        end_segment(tid)
+                        deactivate(tid)
+                        resource.queue.append(tid)
                         killed += 1
                     resource.active.clear()
                     lane.caps.clear()
@@ -699,24 +783,25 @@ class Engine:
                         # keying the hit tasks only (keys are unique).
                         keyed = []
                         for slot in hits.tolist():
-                            task = slot_task[slot]
+                            tid = slot_task[slot]
                             lane = kind_info[
-                                task.phases[task._phase_index].kind][1]
+                                phases[tid][phase_index[tid]][0]][1]
                             keyed.append((lane.index, lane.capped.get(
-                                task, slot_seq[slot]), task))
+                                tid, slot_seq[slot]), tid))
                         keyed.sort()
                         completed_phase = [entry[2] for entry in keyed]
-                    for task in completed_phase:
-                        phases = task.phases
-                        index = task._phase_index
-                        resource, lane = kind_info[phases[index].kind]
+                    for tid in completed_phase:
+                        task_phases = phases[tid]
+                        index = phase_index[tid]
+                        kind, _work, max_rate = task_phases[index]
+                        resource, lane = kind_info[kind]
                         if record_tasks:
-                            end_segment(task)
-                        resource.active.remove(task)
-                        slot = task._slot
+                            end_segment(tid)
+                        resource.active.remove(tid)
+                        slot = task_slot[tid]
                         caps = lane.caps
                         del caps[bisect_left(caps,
-                                             (task._cap, slot_seq[slot]))]
+                                             (max_rate, slot_seq[slot]))]
                         if resource.active or resource.queue:
                             if not lane.dirty:
                                 lane.dirty = True
@@ -730,22 +815,19 @@ class Engine:
                             if lane.live:
                                 live_lanes.remove(lane)
                                 lane.live = False
-                        # deactivate(task), inlined
-                        task._slot = -1
+                        # deactivate(tid), inlined
                         slot_task[slot] = None
                         remaining[slot] = np.inf
                         free_append(slot)
-                        running_discard(task)
+                        running_discard(tid)
                         if resource.queue:
                             drain_queue(resource, lane)
-                        # task.advance_phase(), inlined
                         index += 1
-                        task._phase_index = index
-                        if index < len(phases):
-                            task.remaining = phases[index].work
-                            admit(task)
+                        phase_index[tid] = index
+                        if index < len(task_phases):
+                            admit(tid)
                         else:
-                            complete(task)
+                            complete(tid)
 
                 if injector is not None:
                     for event in injector.crashes_between(previous, now):
@@ -764,7 +846,7 @@ class Engine:
                 f"{stuck} task(s) never became ready; dependency cycle?")
         finish_times = {}
         if keep_finish_times:
-            finish_times = {task.name: task.finish_time for task in tasks}
+            finish_times = dict(zip(names, finish_time))
         return SimResult(makespan=now, recorder=recorder,
                          task_count=total, event_count=events,
                          finish_times=finish_times, task_records=records,

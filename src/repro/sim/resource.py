@@ -90,8 +90,11 @@ class Resource:
         self.capacity = float(capacity)
         self.slots = slots
         self.name = name or kind.value
-        self.active: list = []  # running SimTasks (engine-managed)
-        self.queue: list = []  # FIFO of tasks waiting for a slot
+        # Occupants and the FIFO of tasks waiting for a slot, both
+        # driver-managed: task ids under ``Engine.run``, ``SimTask``
+        # objects for :meth:`allocate_rates`.
+        self.active: list = []
+        self.queue: list = []
 
     def has_free_slot(self) -> bool:
         """Whether another task may start executing immediately."""

@@ -119,21 +119,20 @@ class ReplayPredictor:
         cached = self._work_cache.get(key)
         if cached is not None:
             return cached
-        _graph, tasks, resources = compile_plan(
+        _summary, table, resources = compile_plan(
             self._plan(picasso), self.iterations)
+        capacity = {kind.value: resource.capacity
+                    for kind, resource in resources.items()}
         totals: dict = {}
         stream: dict = {}
-        for task in tasks:
-            on_stream = task.tags.get("layer") == "prefetch"
-            for phase in task.phases:
-                rate = min(resources[phase.kind].capacity,
-                           phase.max_rate)
-                work, solo = totals.get(phase.kind.value, (0.0, 0.0))
-                totals[phase.kind.value] = (work + phase.work,
-                                            solo + phase.work / rate)
+        for phases, tags in zip(table.phases, table.tags):
+            on_stream = ("layer", "prefetch") in tags
+            for kind, work, max_rate in phases:
+                rate = min(capacity[kind], max_rate)
+                total, solo = totals.get(kind, (0.0, 0.0))
+                totals[kind] = (total + work, solo + work / rate)
                 if on_stream:
-                    stream[phase.kind.value] = (
-                        stream.get(phase.kind.value, 0.0) + phase.work)
+                    stream[kind] = stream.get(kind, 0.0) + work
         self._work_cache[key] = (totals, stream)
         return totals, stream
 

@@ -14,7 +14,11 @@ Workloads come from four sources: hand-built DAGs covering the
 engine's edge cases, hypothesis-generated random DAGs (narrow and
 wide), single lanes that pile up to tens of occupants and drain again
 (under straggler windows and crashes), and real compiled plans (narrow
-W&D and wide CAN).
+W&D and wide CAN).  For the compiled plans the engine runs the cached
+:class:`~repro.sim.engine.TaskTable` while the reference runs
+``SimTask`` objects built from the same graph by
+:func:`oracle_sim_tasks`, so a wrong table cannot pass by being
+compared with itself.
 """
 
 import math
@@ -25,10 +29,11 @@ from hypothesis import given, settings, strategies as st
 from repro.api import RunConfig
 from repro.baselines import framework_by_name
 from repro.core.config import PicassoConfig
-from repro.core.executor import compile_plan
+from repro.core.executor import compile_plan, launch_costs
 from repro.core.planner import PicassoPlanner
 from repro.data import product2
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.graph.builder import IterationGraphBuilder
 from repro.hardware import eflops_cluster
 from repro.models import can
 from repro.sim import Engine, Phase, Resource, ResourceKind, SimTask
@@ -212,6 +217,30 @@ def reference_run(resources: dict, tasks: list,
     return SimResult(makespan=now, recorder=recorder,
                      task_count=total, event_count=events,
                      finish_times=finish_times, task_records=records)
+
+
+def oracle_sim_tasks(graph, launch_seconds_per_micro_op: float,
+                     launch_floor: float = 0.0) -> list:
+    """``SimTask`` objects for ``graph``, built without ``TaskTable``.
+
+    An independent copy of the graph compilation the engine's tables
+    come from: a ``LAUNCH`` phase of ``micro_ops * launch + floor`` at
+    rate 1.0 (when positive) before each op's phases, and one
+    ``depends_on`` per predecessor entry, ops in graph order.
+    """
+    tasks = {}
+    for op in graph.ops:
+        phases = []
+        launch = (op.micro_ops * launch_seconds_per_micro_op
+                  + launch_floor)
+        if launch > 0:
+            phases.append(Phase(ResourceKind.LAUNCH, launch, max_rate=1.0))
+        phases.extend(op.phases)
+        tasks[op.name] = SimTask(op.name, phases, tags=op.tags)
+    for op in graph.ops:
+        for pred in graph.predecessors(op):
+            tasks[op.name].depends_on(tasks[pred.name])
+    return [tasks[op.name] for op in graph.ops]
 
 
 def engine_run(resources: dict, tasks: list, **kwargs) -> SimResult:
@@ -694,16 +723,20 @@ class TestClimbingLaneEquivalence:
 # ---------------------------------------------------------------------
 
 def _compiled_plan_check(plan, iterations):
-    # compile_plan memoizes (graph, tasks) per fingerprint and rewinds
-    # task state on every hit, so both runs see identical fresh tasks
-    # and freshly built resources.
-    results = []
-    for runner in RUNNERS:
-        _graph, tasks, resources = compile_plan(plan, iterations)
-        results.append(runner(resources, tasks, keep_finish_times=True,
-                              record_tasks=True))
-    _assert_bitwise_equal(*results)
-    return results[1]
+    # The reference runs SimTasks built independently from a fresh
+    # graph, at the launch costs compile_plan applies; the engine runs
+    # the cached table.  Each run gets freshly built resources.
+    graph = IterationGraphBuilder(plan).build(iterations)
+    tasks = oracle_sim_tasks(graph, *launch_costs(
+        plan, graph.total_micro_ops / iterations))
+    _summary, _table, resources = compile_plan(plan, iterations)
+    reference = reference_run(resources, tasks, keep_finish_times=True,
+                              record_tasks=True)
+    _summary, table, resources = compile_plan(plan, iterations)
+    result = engine_run(resources, table, keep_finish_times=True,
+                        record_tasks=True)
+    _assert_bitwise_equal(reference, result)
+    return result
 
 
 class TestCompiledPlanEquivalence:

@@ -127,30 +127,31 @@ class TestCompilation:
     def test_launch_phase_prepended(self):
         graph = Graph()
         graph.add(_op("a", micro=10))
-        tasks = graph.to_sim_tasks(1e-6, launch_floor=0.0)
-        phases = tasks[0].phases
-        assert phases[0].kind is ResourceKind.LAUNCH
-        assert phases[0].work == pytest.approx(10e-6)
-        assert phases[0].max_rate == 1.0
+        table = graph.to_task_table(1e-6, launch_floor=0.0)
+        kind, work, max_rate = table.phases[0][0]
+        assert kind == ResourceKind.LAUNCH.value
+        assert work == pytest.approx(10e-6)
+        assert max_rate == 1.0
 
     def test_zero_launch_omitted(self):
         graph = Graph()
         graph.add(Op(name="a", kind=OpKind.CONTROL, phases=[],
                      micro_ops=0))
-        tasks = graph.to_sim_tasks(1e-6)
-        assert tasks[0].phases == []
+        table = graph.to_task_table(1e-6)
+        assert table.phases[0] == ()
 
     def test_edges_translated(self):
         graph = Graph()
         a = graph.add(_op("a"))
         b = graph.add(_op("b"))
         graph.add_edge(a, b)
-        tasks = {task.name: task for task in graph.to_sim_tasks(1e-6)}
-        assert tasks["b"].indegree == 1
-        assert tasks["b"] in tasks["a"].succs
+        table = graph.to_task_table(1e-6)
+        assert table.names == ("a", "b")
+        assert table.indegree == (0, 1)
+        assert table.succs == ((1,), ())
 
     def test_negative_launch_rejected(self):
         graph = Graph()
         graph.add(_op("a"))
         with pytest.raises(ValueError):
-            graph.to_sim_tasks(-1.0)
+            graph.to_task_table(-1.0)

@@ -107,7 +107,7 @@ class TestCriticalPath:
             kind: Resource(kind, capacity)
             for kind, capacity in CAPACITIES.items()
         }
-        result = Engine(resources).run(graph.to_sim_tasks(0.0))
+        result = Engine(resources).run(graph.to_task_table(0.0))
         assert result.makespan >= bound - 1e-9
 
 

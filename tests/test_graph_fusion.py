@@ -105,8 +105,8 @@ class TestFusion:
                 ResourceKind.HBM: Resource(ResourceKind.HBM, 1e3),
                 ResourceKind.GPU_SM: Resource(ResourceKind.GPU_SM, 1e3),
             }
-            tasks = target.to_sim_tasks(1e-3)
-            return Engine(resources).run(tasks).makespan
+            table = target.to_task_table(1e-3)
+            return Engine(resources).run(table).makespan
 
         assert run(fused) < run(graph)
 
