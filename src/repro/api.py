@@ -39,6 +39,7 @@ matching the paper's two testbeds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from repro.baselines import framework_by_name
@@ -205,12 +206,19 @@ class RunConfig(ConfigBase):
         if not math.isfinite(self.scale) or self.scale <= 0:
             raise ValueError(
                 f"scale must be finite and > 0, got {self.scale}")
-        if self.batch_size < 1:
+        for name in ("batch_size", "iterations"):
+            value = getattr(self, name)
+            # numpy integers pass; bool (an int subclass) and floats
+            # do not.
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < 1):
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}")
+        micro = self.picasso.micro_batches if self.picasso else None
+        if micro is not None and micro > self.batch_size:
             raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}")
-        if self.iterations < 1:
-            raise ValueError(
-                f"iterations must be >= 1, got {self.iterations}")
+                f"picasso.micro_batches ({micro}) must not exceed "
+                f"batch_size ({self.batch_size})")
 
     def resolved_cluster(self) -> ClusterSpec:
         """The cluster this config runs on."""

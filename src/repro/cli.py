@@ -6,7 +6,8 @@ Commands:
 * ``simulate`` — run one workload under a framework and print metrics.
 * ``ablation`` — the Tab. IV toggles for one model.
 * ``train`` — real numpy training with AUC (Tab. III path).
-* ``experiment`` — run one table/figure harness by id.
+* ``experiment`` — run one table/figure harness by id and check its
+  paper claims (exit 1 if one fails).
 * ``gantt`` — ASCII utilization timeline of a simulated run.
 * ``serve`` — online inference serving simulation with SLO metrics.
 * ``stream`` — the continuous loop: streaming training publishes
@@ -160,7 +161,7 @@ def cmd_list(_args) -> int:
     print("datasets:   " + ", ".join(ALL_DATASETS))
     print("frameworks: " + ", ".join(api.frameworks()))
     print("experiments:")
-    for title, _fn in experiment_runner.EXPERIMENTS:
+    for title, _run, _claims in experiment_runner.EXPERIMENTS:
         print(f"  - {title}")
     return 0
 
@@ -208,14 +209,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    for title, fn in experiment_runner.EXPERIMENTS:
+    for title, run, claims in experiment_runner.EXPERIMENTS:
         if args.name.lower() in title.lower():
-            rows = fn()
-            if rows and isinstance(rows, list):
-                print(format_table(rows, list(rows[0].keys())))
-            else:
-                print(rows)
-            return 0
+            checks = experiment_runner.run_experiment(title, run, claims)
+            return 0 if all(check.passed for check in checks) else 1
     raise SystemExit(f"no experiment matches {args.name!r}; see `list`")
 
 
@@ -664,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=cmd_train)
 
     experiment = sub.add_parser("experiment",
-                                help="run one table/figure harness")
+                                help="run one table/figure harness and check "
+                                     "its claims")
     experiment.add_argument("name", help="substring of the experiment id")
     experiment.set_defaults(func=cmd_experiment)
 

@@ -1,9 +1,11 @@
 """Experiment harnesses: one module per table/figure in the paper.
 
 Every module exposes a ``run_*`` function returning plain dict/list
-records plus a ``paper_reference()`` with the published values, so the
-benchmarks can print paper-vs-measured side by side and EXPERIMENTS.md
-can be regenerated from the same source of truth.
+records and a ``claims(rows)`` returning the paper's qualitative claims
+as :class:`~repro.experiments.common.Check` verdicts on those rows;
+paper tables also carry a ``paper_reference()`` with the published
+values.  :mod:`repro.experiments.runner` prints and gates them all, and
+EXPERIMENTS.md is regenerated from the same source of truth.
 """
 
 from repro.experiments import common

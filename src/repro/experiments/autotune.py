@@ -25,6 +25,7 @@ the loop), so repeated invocations are byte-identical.
 from __future__ import annotations
 
 from repro.api import RunConfig, TuneConfig, tune
+from repro.experiments.common import Check
 from repro.tuning import strategies
 
 #: The training bench scenario (mirrors ``bench_training``).
@@ -63,3 +64,15 @@ def run_autotune(base: RunConfig = BASE,
             "candidates": result.candidates_evaluated,
         })
     return rows
+
+
+def claims(rows: list) -> list:
+    """The study's claims, checked on :func:`run_autotune` rows."""
+    by_name = {row["strategy"]: row for row in rows}
+    return [
+        Check("every registered strategy finds a real improvement",
+              all(float(row["gain_pct"]) > 0.0 for row in rows)),
+        Check("the fully-measured warmup-grid strategy reports zero "
+              "prediction error",
+              float(by_name["warmup-grid"]["fidelity_pct"]) == 0.0),
+    ]

@@ -8,6 +8,7 @@ Tab. III; production model batch sizes follow Tab. VII's XDL column.
 
 from __future__ import annotations
 
+from typing import NamedTuple
 
 from repro.api import RunConfig
 from repro.api import run as run_config
@@ -15,7 +16,6 @@ from repro.core import PicassoConfig
 from repro.core.executor import RunReport
 from repro.data import alibaba, criteo, product1, product2, product3
 from repro.data.spec import DatasetSpec, FieldSpec
-from repro.graph.builder import WorkloadStats
 from repro.models import can, dien, din, dlrm, deepfm, mmoe, wide_deep
 
 #: Per-GPU batch sizes used in the Tab. III benchmark comparison.
@@ -33,7 +33,14 @@ BENCHMARK_BATCH_SIZES = {
 #: Production-model batch sizes (per worker) for the EFLOPS studies.
 PRODUCTION_BATCH_SIZES = {"W&D": 20_000, "CAN": 12_000, "MMoE": 9_000}
 
-_SHARED_STATS = WorkloadStats()
+
+class Check(NamedTuple):
+    """One paper claim, evaluated on the rows an experiment prints."""
+
+    claim: str
+    passed: bool
+
+
 _MODEL_CACHE: dict = {}
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.api import RunConfig, run, run_manifest
 from repro.core import PicassoConfig
+from repro.experiments.common import Check
 from repro.sim import FrozenTrace
 from repro.telemetry import diff_traces
 
@@ -58,3 +59,10 @@ def run_diff_attribution(top_k: int = 6) -> list:
                    f"+{diff.alignment['class']}",
     })
     return rows
+
+
+def claims(rows: list) -> list:
+    """The report's contract, on :func:`run_diff_attribution` rows."""
+    deltas = [abs(float(row["path_delta_ms"])) for row in rows[:-1]]
+    return [Check("op classes are ranked by the size of their on-path "
+                  "delta", deltas == sorted(deltas, reverse=True))]

@@ -24,6 +24,7 @@ import tempfile
 
 from repro.data.labeled import LabeledBatchIterator
 from repro.data.spec import DatasetSpec, FieldSpec
+from repro.experiments.common import Check
 from repro.faults.plan import FaultPlan
 from repro.faults.resilient import ResilientTrainer
 from repro.nn.network import WdlNetwork
@@ -102,3 +103,30 @@ def paper_reference() -> str:
             "recovers most of it, with an interval sweet spot between "
             "write overhead and lost work; every run replays the "
             "crash-free loss trajectory bitwise.")
+
+
+def claims(rows: list) -> list:
+    """The study's claims, checked on :func:`run_fault_recovery` rows."""
+    off = [float(row["goodput"]) for row in rows
+           if row["ckpt_interval"] == 0]
+    crash_free = off[0]
+    best = [max(float(row["goodput"]) for row in rows
+                if row["crash_rate"] == f"{rate:g}"
+                and row["ckpt_interval"] != 0)
+            for rate in CRASH_RATES[1:]]
+    return [
+        # Without checkpoints every crash restarts from scratch, so each
+        # extra crash strictly eats wall time.
+        Check("recovery off: goodput never rises with crash rate",
+              off == sorted(off, reverse=True)),
+        Check("recovery off: every crash rate has a distinct goodput",
+              len(set(off)) == len(off)),
+        Check("at every nonzero crash rate the best checkpoint interval "
+              "keeps >= 90% of crash-free goodput",
+              all(value >= 0.9 * crash_free for value in best)),
+        Check("every run replays the exact crash-free loss trajectory",
+              all(row["trajectory"] == "exact" for row in rows)),
+        Check("every checkpoint interval is one of the swept intervals",
+              set(row["ckpt_interval"] for row in rows)
+              <= set(CKPT_INTERVALS)),
+    ]

@@ -11,7 +11,7 @@ the PS strategy and measuring GPU busy time.
 from __future__ import annotations
 
 from repro.data import product2
-from repro.experiments.common import run_framework
+from repro.experiments.common import Check, run_framework
 from repro.hardware import eflops_cluster
 from repro.models import MODEL_BUILDERS
 
@@ -45,3 +45,13 @@ def paper_reference() -> dict:
                   "widen/deepen; CV/NLP reach 95%+"),
         "band": (5, 45),
     }
+
+
+def claims(rows: list) -> list:
+    """Fig. 1's claim, checked on :func:`run_gpu_util_trend` rows."""
+    _low, high = paper_reference()["band"]
+    # The paper's point: PS training never gets WDL models anywhere
+    # near the 95%+ a CV/NLP workload reaches.
+    return [Check(f"PS training keeps every WDL generation within the "
+                  f"{high}% underutilization band",
+                  all(row["gpu_util_pct"] <= high for row in rows))]

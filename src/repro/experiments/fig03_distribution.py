@@ -12,6 +12,7 @@ import numpy as np
 from repro.data import ALL_DATASETS
 from repro.data.statistics import coverage_curve, coverage_of_top_fraction
 from repro.data.synthetic import FieldSampler
+from repro.experiments.common import Check
 
 
 def run_id_distribution(sample_batches: int = 4, batch_size: int = 20_000,
@@ -57,3 +58,12 @@ def paper_reference() -> dict:
                   "and up to 99%"),
         "mean_band": (55.0, 99.5),
     }
+
+
+def claims(rows: list) -> list:
+    """Fig. 3's claim, checked on :func:`run_id_distribution` rows."""
+    low, high = paper_reference()["mean_band"]
+    return [Check(f"top-20% ID coverage of every dataset lies in the "
+                  f"paper's {low:g}-{high:g}% band",
+                  all(low <= row["top20_coverage_pct"] <= high
+                      for row in rows))]

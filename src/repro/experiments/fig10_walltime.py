@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     BENCHMARK_BATCH_SIZES,
+    Check,
     benchmark_model,
     run_framework,
 )
@@ -66,3 +67,26 @@ def paper_reference() -> dict:
         "speedup_vs_tf_ps": "1.9x .. 10x",
         "note": "advantage most remarkable on DIN and DIEN",
     }
+
+
+def claims(rows: list) -> list:
+    """Fig. 10's claims, checked on :func:`run_walltime` rows."""
+    by_key = {(row["model"], row["framework"]): row["ips"]
+              for row in rows}
+    ips = [{framework: by_key[(model, framework)]
+            for framework in FRAMEWORKS}
+           for model in ("DLRM", "DeepFM", "DIN", "DIEN")]
+    summary = speedups(rows)
+    # "accelerates the training by at least 1.9x, and up to 10x".
+    return [
+        Check("TF-PS is the slowest framework on every model",
+              all(min(series, key=series.get) == "TF-PS"
+                  for series in ips)),
+        Check("PICASSO is the fastest framework on every model",
+              all(max(series, key=series.get) == "PICASSO"
+                  for series in ips)),
+        Check("PICASSO is >= 1.5x the best baseline on every model",
+              all(row["vs_best_baseline"] >= 1.5 for row in summary)),
+        Check("PICASSO is >= 1.5x TF-PS on every model",
+              all(row["vs_tf_ps"] >= 1.5 for row in summary)),
+    ]

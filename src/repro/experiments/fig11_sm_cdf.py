@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.experiments.common import (
     BENCHMARK_BATCH_SIZES,
+    Check,
     benchmark_model,
     run_framework,
 )
@@ -72,3 +73,16 @@ def paper_reference() -> dict:
         "claim": ("baselines show large CDF area at low SM utilization; "
                   "PICASSO has barely any low-utilization mass"),
     }
+
+
+def claims(rows: list) -> list:
+    """Fig. 11's claims, checked on :func:`summary_rows` rows."""
+    low = {row["framework"]: row["time_below_20pct_util"] for row in rows}
+    return [
+        Check("PICASSO has the least low-utilization mass (time below "
+              "20% SM util) of the four systems",
+              all(low["PICASSO"] <= low[baseline]
+                  for baseline in ("TF-PS", "PyTorch", "Horovod"))),
+        Check("TF-PS stalls at least as much as PICASSO",
+              low["TF-PS"] >= low["PICASSO"]),
+    ]

@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.experiments.common import (
     BENCHMARK_BATCH_SIZES,
+    Check,
     benchmark_model,
     run_framework,
 )
@@ -59,3 +60,20 @@ def paper_reference() -> dict:
         "PICASSO": ("highest bandwidth usage; slightly above Horovod/"
                     "PyTorch thanks to interleaved pipelines"),
     }
+
+
+def claims(rows: list) -> list:
+    """Fig. 12's claims, checked on :func:`run_bandwidth` rows."""
+    stats = {row["framework"]: row for row in rows}
+    return [
+        Check("TF-PS never touches NVLink (PS mode bypasses peer links)",
+              stats["TF-PS"]["nvlink_mean_gbps"] == 0.0),
+        Check("PyTorch (a collective framework) uses NVLink",
+              stats["PyTorch"]["nvlink_peak_gbps"] > 0.0),
+        Check("PICASSO (a collective framework) uses NVLink",
+              stats["PICASSO"]["nvlink_peak_gbps"] > 0.0),
+        Check("PICASSO sustains at least half of Horovod's mean NVLink "
+              "traffic (interleaved pipelines)",
+              stats["PICASSO"]["nvlink_mean_gbps"]
+              >= 0.5 * stats["Horovod"]["nvlink_mean_gbps"]),
+    ]

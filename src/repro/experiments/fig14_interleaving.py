@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.core import PicassoConfig
 from repro.experiments.common import (
     PRODUCTION_BATCH_SIZES,
+    Check,
     production_model,
     run_picasso,
 )
@@ -69,3 +70,32 @@ def paper_reference() -> dict:
                           "from more micro-batches by saturating the "
                           "GPU"),
     }
+
+
+def _series(rows: list, knob: str) -> dict:
+    by_model: dict = {}
+    for row in rows:
+        by_model.setdefault(row["model"], {})[row[knob]] = row["ips"]
+    return by_model
+
+
+def interleave_groups_claims(rows: list) -> list:
+    """Fig. 14's groups claim, on :func:`run_interleave_groups` rows."""
+    by_model = _series(rows, "interleave_groups")
+    # Communication-heavy models benefit from interleaving groups:
+    # some group count > 1 beats no interleaving.
+    return [Check("W&D and CAN: some interleaving group count > 1 "
+                  "reaches >= 0.95x the ips of no interleaving",
+                  all(max(series[count] for count in series if count > 1)
+                      >= series[1] * 0.95
+                      for series in (by_model["W&D"], by_model["CAN"])))]
+
+
+def micro_batches_claims(rows: list) -> list:
+    """Fig. 14's micro-batch claim, on :func:`run_micro_batches` rows."""
+    by_model = _series(rows, "micro_batches")
+    # Compute-intensive models gain from micro-batching (paper: CAN
+    # and MMoE meet GPU saturation with more micro-batches).
+    return [Check("CAN and MMoE: the best micro-batch count beats one",
+                  all(max(series.values()) > series[1]
+                      for series in (by_model["CAN"], by_model["MMoE"])))]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     PRODUCTION_BATCH_SIZES,
+    Check,
     production_model,
     run_picasso,
 )
@@ -62,3 +63,26 @@ def paper_reference() -> dict:
         "claim": ("near-linear scalability on CAN and MMoE; sublinear "
                   "throughput on W&D"),
     }
+
+
+def claims(rows: list) -> list:
+    """Fig. 15's claims, checked on :func:`run_scaling` rows."""
+    by_model: dict = {}
+    for row in rows:
+        by_model.setdefault(row["model"], []).append(
+            (row["workers"], row["cluster_ips"]))
+    curves = [[ips for _workers, ips in sorted(series)]
+              for series in by_model.values()]
+    # The paper reports near-linear CAN/MMoE and sublinear W&D; in our
+    # cost model W&D's PCIe-bound iterations are scale-invariant, so
+    # its curve is flatter - see EXPERIMENTS.md.
+    return [
+        Check("cluster throughput grows > 1.2x at every worker-count "
+              "step, for every model",
+              all(b > a * 1.2
+                  for values in curves for a, b in zip(values, values[1:]))),
+        Check("every model keeps >= 60% scale-out efficiency at the "
+              "largest worker count",
+              all(row["efficiency_pct"] >= 60.0
+                  for row in scaling_efficiency(rows))),
+    ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.api import RunConfig, profile
 from repro.core import PicassoConfig
+from repro.experiments.common import Check
 
 #: Small fig05-style workload: W&D under each strategy.
 WORKLOAD = dict(model="W&D", dataset="Product-1", scale=0.05,
@@ -62,3 +63,28 @@ def run_overlap_ablation() -> list:
             "ips": f"{result.report.ips:,.0f}",
         })
     return rows
+
+
+def monitor_health_claims(rows: list) -> list:
+    """Fig. 4/5's pulses, checked on :func:`run_monitor_health` rows."""
+    by_framework = {row["framework"]: row for row in rows}
+    baselines = [by_framework[name] for name in ("TF-PS", "PyTorch")]
+    phases = [tuple(map(int, row["mem/compute/idle"].split("/")))
+              for row in baselines]
+    return [
+        Check("TF-PS and PyTorch show memory-bound pulses",
+              all(mem >= 1 for mem, _compute, _idle in phases)),
+        Check("TF-PS and PyTorch show compute-bound pulses",
+              all(compute >= 1 for _mem, compute, _idle in phases)),
+        Check("TF-PS and PyTorch alternate between them at least twice",
+              all(row["alternations"] >= 2 for row in baselines)),
+    ]
+
+
+def overlap_ablation_claims(rows: list) -> list:
+    """Eq. 3's overlap, checked on :func:`run_overlap_ablation` rows."""
+    ratio = {row["variant"]: float(row["overlap"].rstrip("%")) / 100.0
+             for row in rows}
+    return [Check("K-Interleaving raises the measured comm/compute "
+                  "overlap ratio",
+                  ratio["interleaving on"] > ratio["interleaving off"])]

@@ -13,6 +13,7 @@ trace the latency-throughput trade-off.
 from __future__ import annotations
 
 from repro.api import ServeConfig, serve
+from repro.experiments.common import Check
 
 #: (label, cache kind) rows for the tier sweep, fastest first.
 CACHE_CONFIGS = (
@@ -75,3 +76,28 @@ def paper_reference() -> str:
             "shape: p99 strictly ordered all-HBM < HBM->DRAM < "
             "DRAM-only on the same trace; larger batches raise "
             "latency but launch overhead per request falls.")
+
+
+def claims(rows: list) -> list:
+    """The study's claims, checked on :func:`run_serving_latency` rows."""
+    cache = [row for row in rows if row["sweep"] == "cache"]
+    batcher = [row for row in rows if row["sweep"] == "batcher"]
+    p99 = {row["cache"]: float(row["p99_ms"]) for row in cache}
+    p50 = [float(row["p50_ms"]) for row in batcher]
+    return [
+        # Same trace, same batcher, same SLO: only storage placement
+        # differs, and p99 follows it.
+        Check("p99 is strictly ordered by tier speed: all-HBM < "
+              "HBM->DRAM < DRAM-only",
+              p99["all-HBM"] < p99["HBM->DRAM"] < p99["DRAM-only"]),
+        Check("nothing sheds in the three DRAM-or-faster configs",
+              all(row["shed"] == 0 for row in cache
+                  if row["cache"] != "HBM->DRAM->SSD")),
+        Check("larger batch/deadline settings accumulate longer: p50 "
+              "rises with the batcher setting", p50 == sorted(p50)),
+        # So the trade is purely batching delay vs per-request launch
+        # overhead.
+        Check("every batcher setting keeps up with the offered load (no "
+              "shedding)",
+              all(row["shed_rate"] == "0.00%" for row in batcher)),
+    ]

@@ -29,6 +29,7 @@ import numpy as np
 from repro.data.spec import FieldSpec
 from repro.data.synthetic import BoundedZipf
 from repro.embedding.placement import ShardPlanner, compare_policies
+from repro.experiments.common import Check
 
 #: Zipf exponents swept (Fig. 3's production skew sits near 1.2).
 SKEWS = (1.05, 1.2, 1.4)
@@ -83,3 +84,26 @@ def run_shard_placement(vocab_size: int = 50_000, num_fields: int = 4,
                 "replicated_rows": planned_plan.replicated_rows,
             })
     return rows
+
+
+def claims(rows: list) -> list:
+    """The study's claims, checked on :func:`run_shard_placement` rows."""
+    cells = {(row["skew"], row["workers"]): row for row in rows}
+    hash_ratios = [[cells[(f"{skew:g}", workers)]["hash_ratio"]
+                    for workers in WORKER_COUNTS] for skew in SKEWS]
+    return [
+        # The same hot head spreads over more shards, so the gating
+        # shard stands out more.
+        Check("hash imbalance grows with worker count at every skew",
+              all(ratios == sorted(ratios) for ratios in hash_ratios)),
+        Check("planned placement holds every cell near balance "
+              "(max/mean <= 1.1)",
+              all(row["planned_ratio"] <= 1.1 for row in rows)),
+        # Also gated by the committed BENCH_shards.json baseline.
+        Check("the Zipf(1.2) x 8-worker cell cuts the max/mean exchange "
+              "ratio by >= 25%",
+              cells[("1.2", 8)]["ratio_cut_pct"] >= 25.0),
+        Check("replication only removes exchange traffic: planned max "
+              "bytes drop in every cell",
+              all(row["max_bytes_cut_pct"] > 0 for row in rows)),
+    ]

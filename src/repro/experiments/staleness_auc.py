@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.experiments.common import Check
 from repro.nn.metrics import auc_score
 from repro.nn.network import WdlNetwork
 from repro.online.hotswap import clone_network
@@ -107,3 +108,17 @@ def paper_reference() -> str:
             "interval grows — stale snapshots miss the embeddings of "
             "newly-hot IDs under drift, which is the case for "
             "delta-snapshot publishing at short cadences.")
+
+
+def claims(rows: list) -> list:
+    """The study's claims, checked on :func:`run_staleness_auc` rows."""
+    aucs = [float(row["auc"]) for row in rows]
+    # Staler weights score worse under drift.
+    return [
+        Check("AUC never rises as the publish interval grows",
+              aucs == sorted(aucs, reverse=True)),
+        Check("every publish interval has a distinct AUC",
+              len(set(aucs)) == len(aucs)),
+        Check("even the stalest copy beats chance (AUC > 0.5)",
+              aucs[-1] > 0.5),
+    ]

@@ -12,7 +12,7 @@ identical up to batch size); TF-PS runs with stale gradients.
 
 from __future__ import annotations
 
-from repro.experiments.common import mini_alibaba, mini_criteo
+from repro.experiments.common import Check, mini_alibaba, mini_criteo
 from repro.training import train_and_evaluate
 
 #: Training batch sizes, scaled down from Tab. III proportionally.
@@ -79,4 +79,25 @@ def paper_reference() -> list:
         {"model": "DIEN", "PICASSO": (0.6345, 32_000),
          "PyTorch": (0.6344, 16_000), "TF-PS": (0.6340, 12_000),
          "Horovod": (0.6343, 24_000)},
+    ]
+
+
+def claims(rows: list) -> list:
+    """Tab. III's claims, checked on :func:`run_auc` rows."""
+    auc = {(row["model"], row["system"]): row["auc"] for row in rows}
+    models = tuple(_VARIANTS)
+    return [
+        # Synchronous systems agree closely despite batch differences.
+        Check("PICASSO and PyTorch AUC agree within 0.03 on every model",
+              all(abs(auc[(model, "PICASSO")] - auc[(model, "PyTorch")])
+                  < 0.03 for model in models)),
+        Check("PICASSO and Horovod AUC agree within 0.03 on every model",
+              all(abs(auc[(model, "PICASSO")] - auc[(model, "Horovod")])
+                  < 0.03 for model in models)),
+        Check("async TF-PS (stale gradients) never beats PICASSO by "
+              "more than 0.01 AUC",
+              all(auc[(model, "TF-PS")] <= auc[(model, "PICASSO")] + 0.01
+                  for model in models)),
+        Check("every model actually learned (PICASSO AUC > 0.55)",
+              all(auc[(model, "PICASSO")] > 0.55 for model in models)),
     ]

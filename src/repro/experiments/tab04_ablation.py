@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.core import PicassoConfig
 from repro.experiments.common import (
     PRODUCTION_BATCH_SIZES,
+    Check,
     production_model,
     run_picasso,
 )
@@ -97,4 +98,22 @@ def paper_reference() -> list:
          "pcie_gbps": 1.87, "comm_gbps": 3.80, "sm_util_pct": 64},
         {"model": "MMoE", "variant": "w/o Caching", "ips": 2_401,
          "pcie_gbps": 2.28, "comm_gbps": 6.44, "sm_util_pct": 98},
+    ]
+
+
+def claims(rows: list) -> list:
+    """Tab. IV's claims, checked on :func:`run_ablation` rows."""
+    ips = {(row["model"], row["variant"]): row["ips"] for row in rows}
+    mmoe = {row["model"]: row
+            for row in contribution_percentages(rows)}["MMoE"]
+    return [
+        Check("removing any optimization costs throughput (ablated ips "
+              "<= 1.02x full PICASSO) on W&D, CAN and MMoE",
+              all(ips[(model, variant)] <= ips[(model, "PICASSO")] * 1.02
+                  for model in ("W&D", "CAN", "MMoE")
+                  for variant in VARIANTS[1:])),
+        # Paper: interleaving +93% on MMoE, caching its smallest at +6%.
+        Check("MMoE gains at least as much from interleaving as from "
+              "caching",
+              mmoe["interleaving_gain_pct"] >= mmoe["caching_gain_pct"]),
     ]

@@ -12,6 +12,7 @@ from repro.baselines import framework_by_name
 from repro.core import PicassoExecutor
 from repro.experiments.common import (
     PRODUCTION_BATCH_SIZES,
+    Check,
     production_model,
 )
 from repro.graph.builder import IterationGraphBuilder
@@ -59,4 +60,23 @@ def paper_reference() -> list:
         {"model": "MMoE", "baseline_ops": 300_524, "picasso_ops": 75_217,
          "ops_pct": 25.0, "baseline_packed_emb": 94,
          "picasso_packed_emb": 11},
+    ]
+
+
+def claims(rows: list) -> list:
+    """Tab. V's claims, checked on :func:`run_op_counts` rows."""
+    by_model = {row["model"]: row for row in rows}
+    return [
+        Check("packing reduces framework operations on every model",
+              all(row["picasso_ops"] < row["baseline_ops"]
+                  for row in rows)),
+        # Paper: 204/364/94 per-field embeddings pack into 16/19/11.
+        Check("packing collapses per-field embeddings into fewer than a "
+              "quarter as many packed embeddings",
+              all(row["picasso_packed_emb"] < row["baseline_packed_emb"] / 4
+                  for row in rows)),
+        Check("every model keeps >= 2 packed embeddings",
+              all(row["picasso_packed_emb"] >= 2 for row in rows)),
+        Check("W&D keeps < 35% of its operations (paper: 14.9%)",
+              by_model["W&D"]["ops_pct"] < 35.0),
     ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.baselines import framework_by_name
 from repro.core import PicassoConfig, PicassoExecutor
 from repro.data import product2
+from repro.experiments.common import Check
 from repro.hardware import eflops_cluster
 from repro.models import MODEL_BUILDERS
 
@@ -91,4 +92,18 @@ def paper_reference() -> list:
          "ips": "3.9K -> 12.1K (+210%)"},
         {"model": "STAR", "sm": "32 -> 98 (+206%)",
          "ips": "0.6K -> 2.0K (+215%)"},
+    ]
+
+
+def claims(rows: list) -> list:
+    """Tab. VII's claims, checked on :func:`run_twelve_models` rows."""
+    # PICASSO improves throughput and utilization across the zoo.
+    return [
+        Check(">= 10 models gain throughput under PICASSO",
+              sum(row["ips_gain_pct"] > 0 for row in rows) >= 10),
+        Check(">= 10 models gain SM utilization under PICASSO",
+              sum(row["sm_gain_pct"] > 0 for row in rows) >= 10),
+        Check("every model sustains a larger batch via D-Interleaving",
+              all(row["picasso_batch"] > row["xdl_batch"]
+                  for row in rows)),
     ]

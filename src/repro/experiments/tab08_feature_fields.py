@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.baselines import framework_by_name
 from repro.core import PicassoConfig, PicassoExecutor
 from repro.data import product2
+from repro.experiments.common import Check
 from repro.hardware import eflops_cluster
 from repro.models import can
 
@@ -61,3 +62,20 @@ def paper_reference() -> dict:
         "picasso_vs_ap": "0% at x1 rising to +5.3% at x8 (above AP)",
         "xdl_vs_ap": "0% at x1 falling to -15.3% at x8 (below AP)",
     }
+
+
+def claims(rows: list) -> list:
+    """Tab. VIII's claims, on :func:`run_feature_field_sweep` rows."""
+    widest = rows[-1]
+    picasso = [row["picasso_ips"] for row in rows]
+    # At the widest point, PICASSO tracks (or beats) the arithmetic-
+    # progression prediction while the PS baseline falls below it.
+    return [
+        Check("at the widest point PICASSO's gap to AP is at least "
+              "XDL's",
+              widest["picasso_vs_ap_pct"] >= widest["xdl_vs_ap_pct"]),
+        Check("at the widest point XDL is at most 2% above AP",
+              widest["xdl_vs_ap_pct"] <= 2.0),
+        Check("PICASSO throughput strictly falls as fields multiply",
+              all(b < a for a, b in zip(picasso, picasso[1:]))),
+    ]

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.experiments.common import (
     PRODUCTION_BATCH_SIZES,
+    Check,
     production_model,
     run_framework,
 )
@@ -60,4 +61,20 @@ def paper_reference() -> list:
          "bandwidth_gbps": 1.412},
         {"system": "PICASSO", "avg_task_walltime_h": 1.4,
          "sm_util_pct": 75, "bandwidth_gbps": 6.851},
+    ]
+
+
+def claims(rows: list) -> list:
+    """Tab. IX's claims, on :func:`run_production_summary` rows."""
+    stats = {row["system"]: row for row in rows}
+    xdl, picasso = stats["XDL"], stats["PICASSO"]
+    return [
+        Check("PICASSO shortens the average daily task >= 1.5x "
+              "(paper: 8.6h -> 1.4h, ~6x)",
+              xdl["avg_task_walltime_h"] / picasso["avg_task_walltime_h"]
+              >= 1.5),
+        Check("PICASSO raises SM utilization",
+              picasso["sm_util_pct"] > xdl["sm_util_pct"]),
+        Check("PICASSO raises bandwidth",
+              picasso["bandwidth_gbps"] > xdl["bandwidth_gbps"]),
     ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.data import product1, product2, product3
-from repro.experiments.common import run_framework
+from repro.experiments.common import Check, run_framework
 from repro.hardware import eflops_cluster
 from repro.models import can, mmoe, wide_deep
 
@@ -66,4 +66,18 @@ def paper_reference() -> list:
          "picasso_gpu_hours": 6_091},
         {"scale": "~1T", "xdl_gpu_hours": 323_480,
          "picasso_gpu_hours": 27_256},
+    ]
+
+
+def claims(rows: list) -> list:
+    """Tab. X's claims, checked on :func:`run_model_scale` rows."""
+    xdl = [row["xdl_gpu_hours"] for row in rows]
+    picasso = [row["picasso_gpu_hours"] for row in rows]
+    return [
+        Check("PICASSO needs fewer GPU-hours than XDL at every scale tier",
+              all(row["picasso_gpu_hours"] < row["xdl_gpu_hours"]
+                  for row in rows)),
+        Check("XDL walltime grows with model scale", xdl == sorted(xdl)),
+        Check("PICASSO walltime grows with model scale",
+              picasso == sorted(picasso)),
     ]

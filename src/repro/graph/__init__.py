@@ -11,13 +11,6 @@ operate on these graphs.
 from repro.graph.op import Op, OpKind, efficiency_capped_rate
 from repro.graph.graph import Graph
 from repro.graph.fusion import fuse_chains, fusible_chains, fusion_report
-from repro.graph.analysis import (
-    bottleneck_report,
-    critical_path_seconds,
-    dominant_resource,
-    iteration_time_lower_bound,
-    resource_work_summary,
-)
 from repro.graph.builder import (
     CostModel,
     EmbeddingGroup,
@@ -41,9 +34,4 @@ __all__ = [
     "fuse_chains",
     "fusible_chains",
     "fusion_report",
-    "bottleneck_report",
-    "critical_path_seconds",
-    "dominant_resource",
-    "iteration_time_lower_bound",
-    "resource_work_summary",
 ]

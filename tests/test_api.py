@@ -1,5 +1,6 @@
 """Tests for the RunConfig/run facade and the Stats protocol."""
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -67,6 +68,37 @@ class TestRunConfig:
             RunConfig(scale=scale)
         with pytest.raises(ValueError, match="scale"):
             TINY.with_overrides(scale=scale)
+
+    def test_float_batch_size_rejected(self):
+        # Used to pass validation and die in numpy with a TypeError.
+        with pytest.raises(ValueError, match="batch_size"):
+            RunConfig(batch_size=1.5)
+
+    def test_string_batch_size_rejected_from_dict(self):
+        # Used to raise TypeError: '<' not supported for str and int.
+        with pytest.raises(ValueError, match="batch_size"):
+            RunConfig.from_dict({"batch_size": "7"})
+
+    def test_float_iterations_rejected(self):
+        with pytest.raises(ValueError, match="iterations"):
+            RunConfig(iterations=2.5)
+
+    def test_bool_batch_size_rejected(self):
+        # bool subclasses int, so a plain isinstance check lets it in.
+        with pytest.raises(ValueError, match="batch_size"):
+            RunConfig(batch_size=True)
+
+    def test_more_micro_batches_than_samples_rejected(self):
+        # Used to run and report 0.54 ips.
+        with pytest.raises(ValueError, match="micro_batches"):
+            RunConfig(batch_size=2_000,
+                      picasso=PicassoConfig(micro_batches=5_000))
+
+    def test_numpy_integers_accepted(self):
+        config = RunConfig(batch_size=np.int64(512),
+                           iterations=np.int32(2),
+                           picasso=PicassoConfig(micro_batches=512))
+        assert config.batch_size == 512
 
     def test_defaults_resolve(self):
         config = RunConfig()

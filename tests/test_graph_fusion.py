@@ -136,3 +136,18 @@ class TestFusion:
         fused = fuse_chains(graph)
         fused.validate()
         assert len(fused) < len(graph)
+
+    def test_fusion_trades_launch_not_hardware_work(self):
+        """Design ablation: K-Packing saves micro-ops on a real graph."""
+        from repro.data import criteo
+        from repro.graph import ExecutionPlan, IterationGraphBuilder, \
+            groups_per_field
+        from repro.hardware import eflops_cluster
+        from repro.models import dlrm
+        model = dlrm(criteo(0.01))
+        plan = ExecutionPlan(model=model, cluster=eflops_cluster(4),
+                             batch_size=4096, strategy="mp",
+                             groups=groups_per_field(model.dataset))
+        report = fusion_report(IterationGraphBuilder(plan).build(1))
+        assert report["ops_after"] < report["ops_before"]
+        assert report["micro_ops_after"] < report["micro_ops_before"]

@@ -130,6 +130,59 @@ class TestHitAccounting:
         assert sum(cache.hit_fractions().values()) == 0.0
 
 
+class TestExtensionValue:
+    """SS III-D's multi-level extension of HybridHash.
+
+    One skewed 300k-ID field: with a DRAM-sized middle tier, the share
+    of lookups that fall through to the slowest storage collapses and
+    the modeled access cost drops accordingly.
+    """
+
+    FIELD = FieldSpec(name="f", vocab_size=300_000, embedding_dim=8,
+                      zipf_exponent=1.2)
+    ROW_BYTES = FIELD.embedding_dim * 4
+
+    def _tiered(self, iters):
+        """2k hot rows in HBM, 120k warm rows in DRAM, the rest on SSD."""
+        return MultiLevelCache(
+            EmbeddingTable(dim=self.FIELD.embedding_dim),
+            tiers=(
+                CacheTier("hbm", 2_000 * self.ROW_BYTES, 1.0 / 800e9),
+                CacheTier("dram", 120_000 * self.ROW_BYTES, 1.0 / 80e9),
+                CacheTier("ssd", float("inf"), 1.0 / 2e9),
+            ),
+            warmup_iters=iters, flush_iters=iters)
+
+    def test_middle_tier_collapses_the_slow_tail(self):
+        sampler = FieldSampler(self.FIELD, seed=9)
+        multi = self._tiered(iters=10)
+        for _step in range(60):
+            multi.lookup(sampler.sample_batch(512))
+        pct = {name: round(value * 100, 1)
+               for name, value in multi.hit_fractions().items()}
+        assert pct["hbm"] > 25.0
+        # The cached tiers together outweigh the slow-storage tail
+        # (which, in a streaming workload, is dominated by
+        # never-seen-before IDs that no cache can hold yet).
+        assert pct["hbm"] + pct["dram"] > pct["ssd"]
+        assert pct["ssd"] < 50.0
+
+    def test_access_cost_improves_with_tiers(self):
+        sampler = FieldSampler(self.FIELD, seed=11)
+        flat = MultiLevelCache(
+            EmbeddingTable(dim=self.FIELD.embedding_dim),
+            tiers=(CacheTier("ssd", float("inf"), 1.0 / 2e9),),
+            warmup_iters=5, flush_iters=5)
+        tiered = self._tiered(iters=5)
+        probe = None
+        for _step in range(30):
+            probe = sampler.sample_batch(512)
+            flat.lookup(probe)
+            tiered.lookup(probe)
+        assert round(tiered.expected_access_cost(probe) * 1e6, 2) \
+            < round(flat.expected_access_cost(probe) * 1e6, 2)
+
+
 class TestServingEdgeCases:
     """Edge cases the online serving path exercises."""
 

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.api import RunConfig, run
+from repro.bench.suite import bench_replay
 from repro.replay import WAIT_MODELS, CostHooks, TraceReplayer
 from repro.sim import FrozenTrace, TaskRecord
 from repro.telemetry import analyze_critical_path
@@ -205,3 +206,21 @@ class TestFrozenTrace:
         replayer = TraceReplayer.from_trace(trace)
         assert replayer.makespan == makespan
         assert replayer.replay().makespan == makespan
+
+
+class TestReplayBenchContract:
+    """The ``replay`` bench scenario: fidelity plus tuner quality."""
+
+    def test_replay_fidelity_and_tuner(self):
+        metrics = bench_replay().metrics
+        # The replayer's foundation: re-deriving the frozen DAG under
+        # identity hooks lands on the engine's makespan to the bit.
+        assert metrics["replay_exact"] == 1.0
+        assert metrics["replay_makespan_s"] == metrics["makespan_s"]
+        # Halving launch costs must shorten the run (this workload is
+        # launch-bound enough to feel it) but never below half.
+        assert 0.5 <= metrics["launch_half_ratio"] < 1.0
+        # The acceptance bar: a real >= 10% winner, predicted within 15%.
+        assert metrics["tuned_improved"] == 1.0
+        assert metrics["tuned_gain"] >= 0.10
+        assert abs(metrics["tuned_fidelity_error"]) <= 0.15

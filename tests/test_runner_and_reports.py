@@ -14,7 +14,7 @@ from repro.models import dlrm
 
 class TestRunnerRegistry:
     def test_every_table_and_figure_is_registered(self):
-        titles = [title for title, _fn in runner.EXPERIMENTS]
+        titles = [title for title, _run, _claims in runner.EXPERIMENTS]
         for required in ("Fig. 1", "Fig. 3", "Fig. 5", "Tab. III",
                          "Fig. 10", "Fig. 11", "Fig. 12", "Fig. 13",
                          "Tab. IV", "Tab. V", "Fig. 14", "Tab. VI",
@@ -23,8 +23,9 @@ class TestRunnerRegistry:
             assert any(required in title for title in titles), required
 
     def test_registry_entries_are_callable(self):
-        for _title, fn in runner.EXPERIMENTS:
-            assert callable(fn)
+        for _title, run, claims in runner.EXPERIMENTS:
+            assert callable(run)
+            assert callable(claims)
 
     def test_render_handles_empty(self):
         assert "no rows" in runner._render("x", [])

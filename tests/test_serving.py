@@ -422,7 +422,7 @@ class TestServeCli:
 class TestExperimentRegistration:
     def test_registered_in_runner(self):
         from repro.experiments import runner
-        titles = [title for title, _fn in runner.EXPERIMENTS]
+        titles = [title for title, _run, _claims in runner.EXPERIMENTS]
         assert any("Serving" in title for title in titles)
 
     def test_experiment_cli_invokes_sweep(self, capsys):

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.hardware import EFLOPS_NODE, GN6E_NODE
+from repro.core import PicassoConfig, PicassoExecutor
+from repro.core.executor import simulate_plan
+from repro.data import criteo, product2
+from repro.graph.builder import (
+    ExecutionPlan,
+    IterationGraphBuilder,
+    groups_per_field,
+)
+from repro.hardware import EFLOPS_NODE, GN6E_NODE, eflops_cluster
+from repro.models import can, dlrm
 from repro.sim import Engine, Phase, Resource, ResourceKind, SimTask
 from repro.sim.engine import build_node_resources
 
@@ -222,3 +231,52 @@ class TestEngineCounters:
         assert set(summary.as_dict()) == {
             "makespan", "task_count", "event_count", "busy_seconds",
             "work_done"}
+
+
+class TestDesignAblations:
+    """The cost-model mechanisms the reproduction's conclusions rest on.
+
+    Not paper tables: a regression here warns that a headline
+    reproduction may have lost its explanatory mechanism (DESIGN.md
+    SS5).
+    """
+
+    def test_launch_slots_sensitivity(self):
+        """Fragmentary graphs speed up with dispatch parallelism."""
+        model = dlrm(criteo(0.01))
+        cluster = eflops_cluster(4)
+        plan = ExecutionPlan(model=model, cluster=cluster,
+                             batch_size=4096, strategy="mp",
+                             groups=groups_per_field(model.dataset))
+        table = IterationGraphBuilder(plan).build(2).to_task_table(
+            plan.cost.launch_per_micro_op)
+        makespan = {
+            slots: Engine(build_node_resources(
+                cluster.node, launch_slots=slots)).run(table).makespan
+            for slots in (1, 4)}
+        assert makespan[1] > makespan[4]
+
+    def test_fine_grained_deps_matter(self):
+        """Removing the global concat barrier must help (or not hurt)."""
+        executor = PicassoExecutor(
+            can(product2(0.02)), eflops_cluster(8),
+            PicassoConfig(micro_batches=1, interleave_sets=3))
+        ips = {}
+        for fine in (False, True):
+            plan = executor.plan(8192)
+            plan.fine_grained_deps = fine
+            ips[fine] = round(simulate_plan(plan, iterations=2).ips)
+        assert ips[True] >= ips[False] * 0.95
+
+    def test_pipeline_overlap_is_real(self):
+        """With interleaving, comm must overlap compute (low exposure)."""
+        model = can(product2(0.02))
+        cluster = eflops_cluster(8)
+        exposed = {
+            name: round(PicassoExecutor(model, cluster, config).run(
+                8192, iterations=2).breakdown["communication"]["exposed"]
+                * 100, 1)
+            for name, config in (
+                ("interleaved", PicassoConfig()),
+                ("flat", PicassoConfig().without("interleaving")))}
+        assert exposed["interleaved"] <= exposed["flat"] + 2.0

@@ -214,6 +214,19 @@ class TestCriticalPath:
         assert "communication" in text
 
 
+class TestCriticalPathOnHeadlineWorkload:
+    def test_top10_explains_the_makespan(self):
+        # The paper's headline workload: W&D / Product-1 / eflops:16 /
+        # PICASSO, the attribution quality ``repro profile`` reports.
+        report = profile(RunConfig()).critical_path
+        assert report.makespan > 0
+        assert report.coverage(10) >= 0.90
+        # The ranking and the class attribution both partition path time.
+        total = sum(report.class_seconds.values())
+        assert abs(total - report.makespan) \
+            < 1e-6 * max(1.0, report.makespan)
+
+
 class TestChromeTrace:
     def test_schema_validates(self):
         clock = ManualClock()
