@@ -38,12 +38,11 @@ matching the paper's two testbeds.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 from repro.baselines import framework_by_name
-from repro.config_base import ConfigBase, codec, dict_codec
+from repro.config_base import (ConfigBase, codec, dict_codec,
+                               require_choice, require_positive)
 from repro.core import PicassoConfig, PicassoExecutor
 from repro.core.executor import RunReport, per_iteration_seconds
 from repro.data import ALL_DATASETS
@@ -51,6 +50,7 @@ from repro.faults.monitor import plan_report
 from repro.faults.plan import FaultPlan
 from repro.hardware import eflops_cluster, gn6e_cluster
 from repro.hardware.topology import ClusterSpec
+from repro.memo import Memo
 from repro.models import MODEL_BUILDERS
 from repro.models.base import ModelSpec
 from repro.online.loop import StreamReport, simulate_stream
@@ -157,9 +157,21 @@ def _encode_cluster(spec) -> str:
     return f"{cluster.name}:{cluster.num_nodes}"
 
 
+def _build_model(model: str, dataset: str, scale: float) -> ModelSpec:
+    if model not in MODEL_BUILDERS:
+        raise ValueError(
+            f"unknown model {model!r}; "
+            f"expected one of {sorted(MODEL_BUILDERS)}")
+    if dataset not in ALL_DATASETS:
+        raise ValueError(
+            f"unknown dataset {dataset!r}; "
+            f"expected one of {list(ALL_DATASETS)}")
+    return MODEL_BUILDERS[model](ALL_DATASETS[dataset](scale))
+
+
 #: Process-wide memos for the facade's deterministic spec builders.
-_MODEL_CACHE: dict = {}
-_CLUSTER_CACHE: dict = {}
+_MODELS = Memo("model", 128)
+_CLUSTERS = Memo("cluster", 1024)
 
 
 @dataclass(frozen=True)
@@ -203,17 +215,8 @@ class RunConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.scale) or self.scale <= 0:
-            raise ValueError(
-                f"scale must be finite and > 0, got {self.scale}")
-        for name in ("batch_size", "iterations"):
-            value = getattr(self, name)
-            # numpy integers pass; bool (an int subclass) and floats
-            # do not.
-            if (not isinstance(value, numbers.Integral)
-                    or isinstance(value, bool) or value < 1):
-                raise ValueError(
-                    f"{name} must be an integer >= 1, got {value!r}")
+        require_positive(self, "scale", integer=False)
+        require_positive(self, "batch_size", "iterations")
         micro = self.picasso.micro_batches if self.picasso else None
         if micro is not None and micro > self.batch_size:
             raise ValueError(
@@ -223,11 +226,7 @@ class RunConfig(ConfigBase):
     def resolved_cluster(self) -> ClusterSpec:
         """The cluster this config runs on."""
         if isinstance(self.cluster, str):
-            cached = _CLUSTER_CACHE.get(self.cluster)
-            if cached is None:
-                cached = parse_cluster(self.cluster)
-                _CLUSTER_CACHE[self.cluster] = cached
-            return cached
+            return _CLUSTERS.get(self.cluster, parse_cluster, self.cluster)
         return parse_cluster(self.cluster)
 
     def build_model(self) -> ModelSpec:
@@ -242,23 +241,7 @@ class RunConfig(ConfigBase):
         unknown model or dataset names, listing the valid choices.
         """
         key = (self.model, self.dataset, self.scale)
-        cached = _MODEL_CACHE.get(key)
-        if cached is not None:
-            return cached
-        if self.model not in MODEL_BUILDERS:
-            raise ValueError(
-                f"unknown model {self.model!r}; "
-                f"expected one of {sorted(MODEL_BUILDERS)}")
-        if self.dataset not in ALL_DATASETS:
-            raise ValueError(
-                f"unknown dataset {self.dataset!r}; "
-                f"expected one of {list(ALL_DATASETS)}")
-        dataset = ALL_DATASETS[self.dataset](self.scale)
-        model = MODEL_BUILDERS[self.model](dataset)
-        if len(_MODEL_CACHE) >= 128:
-            _MODEL_CACHE.clear()
-        _MODEL_CACHE[key] = model
-        return model
+        return _MODELS.get(key, _build_model, *key)
 
 
 def _run_picasso(config: RunConfig, model: ModelSpec,
@@ -367,13 +350,9 @@ class ServeConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        if self.requests < 1:
-            raise ValueError("requests must be >= 1")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.cache not in CACHE_KINDS:
-            raise ValueError(f"unknown cache {self.cache!r}; "
-                             f"expected one of {CACHE_KINDS}")
+        require_positive(self, "requests", "replicas")
+        require_positive(self, "rate_qps", integer=False)
+        require_choice(self, "cache", CACHE_KINDS)
 
 
 def serve(config: ServeConfig, tracer=None,
@@ -454,15 +433,10 @@ class StreamConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        if self.requests < 1:
-            raise ValueError("requests must be >= 1")
-        if self.train_steps < 1:
-            raise ValueError("train_steps must be >= 1")
-        if self.publish_interval < 1:
-            raise ValueError("publish_interval must be >= 1")
-        if self.cache not in CACHE_KINDS:
-            raise ValueError(f"unknown cache {self.cache!r}; "
-                             f"expected one of {CACHE_KINDS}")
+        require_positive(self, "requests", "train_steps",
+                         "publish_interval")
+        require_positive(self, "rate_qps", integer=False)
+        require_choice(self, "cache", CACHE_KINDS)
 
 
 def stream(config: StreamConfig, tracer=None,
@@ -558,20 +532,12 @@ class TuneConfig(ConfigBase):
     def __post_init__(self) -> None:
         if not self.strategy:
             raise ValueError("strategy must be non-empty")
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.wait_model not in WAIT_MODELS:
-            raise ValueError(
-                f"unknown wait_model {self.wait_model!r}; "
-                f"expected one of {WAIT_MODELS}")
+        require_positive(self, "top_k", "diversity_cap")
+        require_choice(self, "wait_model", WAIT_MODELS)
         if not 0.0 < self.shrink_credit <= 1.0:
             raise ValueError(
                 f"shrink_credit must be in (0, 1], "
                 f"got {self.shrink_credit}")
-        if self.diversity_cap < 1:
-            raise ValueError(
-                f"diversity_cap must be >= 1, "
-                f"got {self.diversity_cap}")
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ Commands:
   delta snapshots that hot-swap into serving under live traffic,
   with SLO-burn-rate autoscaling.
 * ``profile`` — run one workload with telemetry on, write a
-  Chrome-trace JSON (loads in Perfetto) and print the critical path
-  plus run-health monitor verdicts.
+  Chrome-trace JSON (loads in Perfetto) and print the critical path,
+  run-health monitor verdicts and each memo's hit/miss counts.
 * ``replay`` — record (or load) a frozen task trace and re-derive its
   timeline under perturbed per-class cost scales, without re-running
   the engine.
@@ -47,7 +47,7 @@ import sys
 
 import numpy as np
 
-from repro import api
+from repro import api, memo
 from repro.api import RunConfig, ServeConfig, StreamConfig, TuneConfig
 from repro.faults import FaultPlan
 from repro.bench import (
@@ -351,6 +351,9 @@ def cmd_profile(args) -> int:
         for alert in monitor.alerts:
             print(f"  [{alert.severity}] t={alert.time_s:.3f}s "
                   f"{alert.message}")
+    for name, counts in memo.stats().items():
+        print(f"memo {name}: {counts['hits']}/{counts['misses']} "
+              f"hits/misses, {counts['size']}/{counts['maxsize']} entries")
     print(f"chrome trace: {path} "
           "(open in chrome://tracing or https://ui.perfetto.dev)")
     return 0

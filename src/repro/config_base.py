@@ -6,6 +6,8 @@ sweeps, ``as_dict``/``from_dict`` for lossless JSON round-trips — and
 each used to carry its own copy of that boilerplate.  :class:`ConfigBase`
 is the single implementation; subclasses only declare how their
 non-scalar fields serialize via :data:`ConfigBase._FIELD_CODECS`.
+:func:`require_positive` and :func:`require_choice` are the field
+checks their ``__post_init__`` methods share.
 
 The mixin lives outside :mod:`repro.api` so that :mod:`repro.core`
 (which the facade imports) can rebase :class:`~repro.core.config.
@@ -14,7 +16,35 @@ PicassoConfig` on it without an import cycle.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import fields as dataclass_fields, replace
+
+
+def require_positive(config, *names: str, integer: bool = True) -> None:
+    """Raise a ValueError naming the first of ``config``'s ``names``
+    fields that is not an integer >= 1 (numpy integers pass; bool,
+    floats and strings do not) or, with ``integer=False``, a finite
+    number > 0."""
+    for name in names:
+        value = getattr(config, name)
+        if integer:
+            valid = isinstance(value, numbers.Integral) and value >= 1
+        else:
+            valid = (isinstance(value, numbers.Real)
+                     and math.isfinite(value) and value > 0)
+        if not valid or isinstance(value, bool):
+            expected = "an integer >= 1" if integer else "finite and > 0"
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def require_choice(config, name: str, choices) -> None:
+    """Raise a ValueError naming field ``name`` of ``config`` unless
+    its value is one of ``choices``."""
+    value = getattr(config, name)
+    if value not in choices:
+        raise ValueError(
+            f"unknown {name} {value!r}; expected one of {choices}")
 
 
 def codec(encode, decode):

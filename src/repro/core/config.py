@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 
-from repro.config_base import ConfigBase, codec
+from repro.config_base import (ConfigBase, codec, require_choice,
+                               require_positive)
 from repro.graph.builder import CostModel
 
 _GIB = float(1 << 30)
@@ -91,14 +92,8 @@ class PicassoConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        if self.shard_policy not in ("hash", "planned"):
-            raise ValueError(
-                f"unknown shard_policy {self.shard_policy!r}; "
-                "expected 'hash' or 'planned'")
-        if self.micro_batch_scope not in ("all", "mlp"):
-            raise ValueError(
-                f"unknown micro_batch_scope "
-                f"{self.micro_batch_scope!r}; expected 'all' or 'mlp'")
+        require_choice(self, "shard_policy", ("hash", "planned"))
+        require_choice(self, "micro_batch_scope", ("all", "mlp"))
         if self.interleave_sets is not None and self.interleave_sets < 1:
             raise ValueError(
                 f"interleave_sets must be >= 1 or None, "
@@ -109,14 +104,9 @@ class PicassoConfig(ConfigBase):
                 f"got {self.micro_batches}")
         if self.hot_storage_bytes < 0:
             raise ValueError("hot_storage_bytes must be >= 0")
-        if self.flush_iters < 1:
-            raise ValueError("flush_iters must be >= 1")
         if self.device_memory_budget <= 0:
             raise ValueError("device_memory_budget must be > 0")
-        if self.prefetch_lookahead < 1:
-            raise ValueError(
-                f"prefetch_lookahead must be >= 1, "
-                f"got {self.prefetch_lookahead}")
+        require_positive(self, "flush_iters", "prefetch_lookahead")
         if not 0.0 <= self.prefetch_hot_threshold <= 1.0:
             raise ValueError(
                 f"prefetch_hot_threshold must be in [0, 1], "

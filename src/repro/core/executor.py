@@ -9,13 +9,13 @@ utilization, PCIe GB/s, network Gbps, breakdowns).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.config import PicassoConfig
 from repro.core.planner import PicassoPlanner
 from repro.graph.builder import ExecutionPlan, IterationGraphBuilder
 from repro.hardware.topology import ClusterSpec
+from repro.memo import Memo
 from repro.models.base import ModelSpec
 from repro.sim.engine import Engine, SimResult, build_node_resources
 from repro.sim.resource import ResourceKind
@@ -94,19 +94,12 @@ class PlanSummary:
     micro_ops: int
 
 
-#: Compiled-plan cache: ``(plan fingerprint, iterations)`` ->
+#: Compiled-plan memo: ``(plan fingerprint, iterations)`` ->
 #: ``(summary, table)``.  Graph building is fully deterministic
 #: (workload statistics are seeded), so two plans with equal signatures
 #: compile to identical tables; repeated bench/tune/replay invocations
-#: of the same workload skip the rebuild entirely.  Bounded LRU (a hit
-#: moves to the back) so sweeps over many configs stay flat.
-_COMPILE_CACHE: OrderedDict = OrderedDict()
-_COMPILE_CACHE_MAX = 64
-
-
-def clear_compile_cache() -> None:
-    """Drop all cached compiled plans (mainly for tests)."""
-    _COMPILE_CACHE.clear()
+#: of the same workload skip the rebuild entirely.
+_COMPILED = Memo("compile", 64)
 
 
 def launch_costs(plan: ExecutionPlan,
@@ -147,28 +140,23 @@ def compile_plan(plan: ExecutionPlan, iterations: int) -> tuple:
     from repro.bench.snapshot import config_fingerprint
 
     # The fingerprint is cached on the plan object: plans are immutable
-    # once planning returns (the planner's plan cache shares them), and
+    # once planning returns (the planner's plan memo shares them), and
     # hashing a wide plan's signature is a measurable slice of a warm
     # run.
     fingerprint = getattr(plan, "_fingerprint", None)
     if fingerprint is None:
         fingerprint = config_fingerprint(plan.signature())
         plan._fingerprint = fingerprint
-    key = (fingerprint, iterations)
-    cached = _COMPILE_CACHE.get(key)
-    if cached is not None:
-        _COMPILE_CACHE.move_to_end(key)
-    else:
-        graph = IterationGraphBuilder(plan).build(iterations)
-        micro_ops = graph.total_micro_ops
-        table = graph.to_task_table(
-            *launch_costs(plan, micro_ops / iterations))
-        cached = (PlanSummary(graph.name, len(graph), micro_ops), table)
-        _COMPILE_CACHE[key] = cached
-        while len(_COMPILE_CACHE) > _COMPILE_CACHE_MAX:
-            _COMPILE_CACHE.popitem(last=False)
-    summary, table = cached
+    summary, table = _COMPILED.get((fingerprint, iterations), _compile,
+                                   plan, iterations)
     return summary, table, build_node_resources(plan.cluster.node)
+
+
+def _compile(plan: ExecutionPlan, iterations: int) -> tuple:
+    graph = IterationGraphBuilder(plan).build(iterations)
+    micro_ops = graph.total_micro_ops
+    table = graph.to_task_table(*launch_costs(plan, micro_ops / iterations))
+    return PlanSummary(graph.name, len(graph), micro_ops), table
 
 
 def per_iteration_seconds(makespan: float, first_step_end: float,

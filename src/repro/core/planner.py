@@ -9,8 +9,6 @@ Tab. IV fall out of the config toggles.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.core.caching import expected_hit_ratio
 from repro.core.config import PicassoConfig
 from repro.core.interleaving import (
@@ -26,6 +24,7 @@ from repro.graph.builder import (
     groups_per_field,
 )
 from repro.hardware.topology import ClusterSpec
+from repro.memo import Memo
 from repro.models.base import ModelSpec
 
 
@@ -33,37 +32,16 @@ from repro.models.base import ModelSpec
 #: Both are pure, seeded functions of frozen (hashable) specs, and both
 #: are expensive enough to dominate repeated plan builds — planners are
 #: constructed per run, so per-instance caching would never hit.
-_IMBALANCE_CACHE: dict = {}
-_HIT_RATIO_CACHE: dict = {}
+_IMBALANCE = Memo("imbalance", 1024)
+_HIT_RATIO = Memo("hit_ratio", 1024)
 
 #: Whole-plan memo: ``(config, model, cluster, batch, seed)`` ->
 #: :class:`ExecutionPlan`.  Planning is deterministic, and a plan is
 #: never mutated once :meth:`PicassoPlanner.plan` returns (the
-#: compiled-plan cache in :mod:`repro.core.executor` relies on the same
+#: compile memo in :mod:`repro.core.executor` relies on the same
 #: contract), so benchmark/tuning loops re-requesting the same workload
-#: share one plan object.  Bounded FIFO so sweeps stay flat.
-_PLAN_CACHE: OrderedDict = OrderedDict()
-_PLAN_CACHE_MAX = 64
-
-
-def _predicted_imbalance(fields: tuple, workers: int,
-                         batch_size: int) -> float:
-    key = (fields, workers, batch_size)
-    value = _IMBALANCE_CACHE.get(key)
-    if value is None:
-        value = predict_imbalance(fields, workers, batch_size)
-        _IMBALANCE_CACHE[key] = value
-    return value
-
-
-def _planned_hit_ratio(dataset, hot_bytes: float, batch_size: int) -> float:
-    key = (dataset, hot_bytes, batch_size)
-    value = _HIT_RATIO_CACHE.get(key)
-    if value is None:
-        value = expected_hit_ratio(dataset, hot_bytes,
-                                   batch_size).hit_ratio
-        _HIT_RATIO_CACHE[key] = value
-    return value
+#: share one plan object.
+_PLANS = Memo("plan", 64)
 
 
 class PicassoPlanner:
@@ -81,19 +59,12 @@ class PicassoPlanner:
         Planning is deterministic, so results are memoized process-wide
         (configs are frozen dataclasses, so the config itself is the
         key).  The returned plan is shared: treat it as immutable, as
-        the executor's compiled-plan cache does.
+        the executor's compile memo does.
         """
         key = (self.config, model, cluster, batch_size,
                self.stats._seed)
-        cached = _PLAN_CACHE.get(key)
-        if cached is not None:
-            _PLAN_CACHE.move_to_end(key)
-            return cached
-        plan = self._plan_uncached(model, cluster, batch_size)
-        _PLAN_CACHE[key] = plan
-        while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-            _PLAN_CACHE.popitem(last=False)
-        return plan
+        return _PLANS.get(key, self._plan_uncached, model, cluster,
+                          batch_size)
 
     def _plan_uncached(self, model: ModelSpec, cluster: ClusterSpec,
                        batch_size: int) -> ExecutionPlan:
@@ -145,12 +116,14 @@ class PicassoPlanner:
             # Skew-aware placement rebalances the exchange: price the
             # AllToAllv at the plan's predicted max/mean shard ratio
             # instead of the generic straggler factor.
-            plan.shard_imbalance = _predicted_imbalance(
-                dataset.fields, cluster.num_workers, batch_size)
+            key = (dataset.fields, cluster.num_workers, batch_size)
+            plan.shard_imbalance = _IMBALANCE.get(key, predict_imbalance,
+                                                  *key)
 
         if config.enable_caching:
-            hit_ratio = _planned_hit_ratio(
-                dataset, config.hot_storage_bytes, batch_size)
+            key = (dataset, config.hot_storage_bytes, batch_size)
+            hit_ratio = _HIT_RATIO.get(key, expected_hit_ratio,
+                                       *key).hit_ratio
             # The live hot set trails the ideal top-k between flushes
             # (Algorithm 1 refreshes every flush_iters), so the achieved
             # hit ratio is discounted against the oracle plan.

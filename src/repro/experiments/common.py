@@ -1,4 +1,4 @@
-"""Shared setup for all experiments: workloads, batch sizes, caches.
+"""Shared setup for all experiments: workloads, batch sizes, claims.
 
 The paper's evaluation uses two testbeds (Tab. I): one Gn6e node
 (8x V100, TCP) for the public benchmarks and 16 EFLOPS nodes (1x V100,
@@ -14,9 +14,7 @@ from repro.api import RunConfig
 from repro.api import run as run_config
 from repro.core import PicassoConfig
 from repro.core.executor import RunReport
-from repro.data import alibaba, criteo, product1, product2, product3
 from repro.data.spec import DatasetSpec, FieldSpec
-from repro.models import can, dien, din, dlrm, deepfm, mmoe, wide_deep
 
 #: Per-GPU batch sizes used in the Tab. III benchmark comparison.
 BENCHMARK_BATCH_SIZES = {
@@ -41,40 +39,28 @@ class Check(NamedTuple):
     passed: bool
 
 
-_MODEL_CACHE: dict = {}
+#: Model -> dataset, for the Tab. III benchmark and production models.
+_BENCHMARK_DATASETS = {"DLRM": "Criteo", "DeepFM": "Criteo",
+                       "DIN": "Alibaba", "DIEN": "Alibaba"}
+_PRODUCTION_DATASETS = {"W&D": "Product-1", "CAN": "Product-2",
+                        "MMoE": "Product-3"}
+
+
+def _catalog_model(kind: str, datasets: dict, name: str):
+    if name not in datasets:
+        raise KeyError(f"unknown {kind} model {name!r}")
+    model = RunConfig(model=name, dataset=datasets[name]).build_model()
+    return model, model.dataset
 
 
 def benchmark_model(name: str):
     """(model, dataset) for a Tab. III benchmark model by name."""
-    if name not in _MODEL_CACHE:
-        builders = {
-            "DLRM": (dlrm, criteo),
-            "DeepFM": (deepfm, criteo),
-            "DIN": (din, alibaba),
-            "DIEN": (dien, alibaba),
-        }
-        if name not in builders:
-            raise KeyError(f"unknown benchmark model {name!r}")
-        build, dataset_fn = builders[name]
-        dataset = dataset_fn(1.0)
-        _MODEL_CACHE[name] = (build(dataset), dataset)
-    return _MODEL_CACHE[name]
+    return _catalog_model("benchmark", _BENCHMARK_DATASETS, name)
 
 
 def production_model(name: str):
     """(model, dataset) for a production model (W&D / CAN / MMoE)."""
-    if name not in _MODEL_CACHE:
-        builders = {
-            "W&D": (wide_deep, product1),
-            "CAN": (can, product2),
-            "MMoE": (mmoe, product3),
-        }
-        if name not in builders:
-            raise KeyError(f"unknown production model {name!r}")
-        build, dataset_fn = builders[name]
-        dataset = dataset_fn(1.0)
-        _MODEL_CACHE[name] = (build(dataset), dataset)
-    return _MODEL_CACHE[name]
+    return _catalog_model("production", _PRODUCTION_DATASETS, name)
 
 
 def run_framework(framework: str, model, cluster, batch_size: int,

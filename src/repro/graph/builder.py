@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.config_base import require_choice, require_positive
 from repro.data.spec import DatasetSpec, FieldSpec
 from repro.data.loader import batch_wire_bytes
 from repro.data.statistics import expected_unique_fraction
 from repro.graph.graph import Graph
 from repro.graph.op import Op, OpKind, efficiency_capped_rate
 from repro.hardware.topology import ClusterSpec
+from repro.memo import Memo
 from repro.models.base import (
     InteractionKind,
     ModelSpec,
@@ -151,35 +153,32 @@ def groups_per_field(dataset: DatasetSpec) -> list:
             for spec in dataset.fields]
 
 
-class WorkloadStats:
-    """Caches per-field batch statistics (unique-ID fractions)."""
+#: Unique-fraction memo.  The statistic is a pure function of
+#: ``(vocab, skew, capped batch, seed)`` — sampling is seeded — so it
+#: is memoized process-wide rather than per instance: planners are
+#: constructed per run, and re-sampling the same distributions
+#: dominated repeated plan builds.
+_UNIQUE_FRACTION = Memo("unique_fraction", 1024)
 
-    #: Shared measurement cache.  The statistic is a pure function of
-    #: ``(vocab, skew, capped batch, seed)`` — sampling is seeded — so
-    #: it is cached process-wide rather than per instance: planners are
-    #: constructed per run, and re-sampling the same distributions
-    #: dominated repeated plan builds.
-    _shared_cache: dict = {}
+
+class WorkloadStats:
+    """Per-field batch statistics (unique-ID fractions), memoized."""
 
     def __init__(self, seed: int = 7):
         self._seed = seed
-        self._cache = WorkloadStats._shared_cache
 
     def unique_fraction(self, spec: FieldSpec, batch_ids: int) -> float:
         """Expected unique fraction for a batch of ``batch_ids`` IDs.
 
-        Cached by the field's *distribution* (vocabulary, skew), so
+        Memoized by the field's *distribution* (vocabulary, skew), so
         structurally identical fields — e.g. Tab. VIII's duplicated
         feature fields — share one measurement.
         """
-        key = (spec.vocab_size, spec.zipf_exponent,
-               min(batch_ids, 200_000), self._seed)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = expected_unique_fraction(
-                spec, batch_ids, seed=self._seed)
-            self._cache[key] = cached
-        return cached
+        seed = self._seed
+        return _UNIQUE_FRACTION.get(
+            (spec.vocab_size, spec.zipf_exponent,
+             min(batch_ids, 200_000), seed),
+            expected_unique_fraction, spec, batch_ids, 3, seed)  # samples=3
 
     def group_unique_ids(self, group: EmbeddingGroup,
                          batch_size: int) -> float:
@@ -255,25 +254,16 @@ class ExecutionPlan:
     prefetch_policy: str = "hotness"
 
     def __post_init__(self) -> None:
-        known = {"ps-async", "ps-sync", "mp", "dp", "hybrid"}
-        if self.strategy not in known:
-            raise ValueError(f"unknown strategy {self.strategy!r}; "
-                             f"expected one of {sorted(known)}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.micro_batches < 1:
-            raise ValueError("micro_batches must be >= 1")
-        if self.interleave_sets < 1:
-            raise ValueError("interleave_sets must be >= 1")
-        if self.micro_batch_scope not in ("all", "mlp"):
-            raise ValueError("micro_batch_scope must be 'all' or 'mlp'")
+        require_choice(self, "strategy",
+                       ("ps-async", "ps-sync", "mp", "dp", "hybrid"))
+        require_positive(self, "batch_size", "micro_batches",
+                         "interleave_sets", "prefetch_lookahead")
+        require_choice(self, "micro_batch_scope", ("all", "mlp"))
         if self.cache_hit_ratio is not None and not (
                 0.0 <= self.cache_hit_ratio <= 1.0):
             raise ValueError("cache_hit_ratio must be in [0, 1]")
         if self.shard_imbalance is not None and self.shard_imbalance < 1.0:
             raise ValueError("shard_imbalance must be >= 1.0")
-        if self.prefetch_lookahead < 1:
-            raise ValueError("prefetch_lookahead must be >= 1")
         if not 0.0 <= self.prefetch_hot_threshold <= 1.0:
             raise ValueError("prefetch_hot_threshold must be in [0, 1]")
         if self.prefetch_inflight_bytes <= 0:

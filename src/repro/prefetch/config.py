@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config_base import ConfigBase
+from repro.config_base import ConfigBase, require_positive
 
 _MIB = float(1 << 20)
 
@@ -42,10 +42,7 @@ class PrefetchConfig(ConfigBase):
     policy: str = "hotness"
 
     def __post_init__(self) -> None:
-        if self.lookahead_depth < 1:
-            raise ValueError(
-                f"lookahead_depth must be >= 1, "
-                f"got {self.lookahead_depth}")
+        require_positive(self, "lookahead_depth")
         if not 0.0 <= self.hot_threshold <= 1.0:
             raise ValueError(
                 f"hot_threshold must be in [0, 1], "

@@ -10,12 +10,14 @@ from repro.api import (
     RunConfig,
     ServeConfig,
     StreamConfig,
+    TuneConfig,
 )
 from repro.core.config import PicassoConfig
 from repro.faults import FaultEvent, FaultPlan
 from repro.embedding.hybrid_hash import CacheStats
 from repro.embedding.multilevel import TierStats
 from repro.hardware import eflops_cluster
+from repro.prefetch import PrefetchConfig
 from repro.serving.metrics import ServingReport
 from repro.sim.engine import SimSummary
 from repro.telemetry import MetricsRegistry, is_stats, validate_chrome_trace
@@ -309,6 +311,53 @@ class TestServeFacade:
         via_facade = api.serve(config)
         direct = simulate_serving(num_requests=400, seed=3, cache="hbm")
         assert via_facade.as_dict() == direct.as_dict()
+
+
+class TestFacadeLegValidation:
+    """Every config leg rejects bad fields at construction, with a
+    ValueError naming the field, through RunConfig's shared checks."""
+
+    def test_float_serve_requests_rejected(self):
+        # Used to die in numpy: "expected a sequence of integers".
+        with pytest.raises(ValueError, match="requests"):
+            api.serve(ServeConfig(requests=1.5))
+
+    @pytest.mark.parametrize("leg", [ServeConfig, StreamConfig])
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
+    def test_bad_rate_rejected(self, leg, rate):
+        # nan used to die in the histogram code without naming a field.
+        with pytest.raises(ValueError, match="rate_qps"):
+            leg(rate_qps=rate)
+
+    def test_float_stream_train_steps_rejected(self):
+        # Used to run silently.
+        with pytest.raises(ValueError, match="train_steps"):
+            StreamConfig(train_steps=2.5)
+
+    def test_string_serve_requests_rejected_from_dict(self):
+        # Used to raise TypeError: '<' not supported for str and int.
+        with pytest.raises(ValueError, match="requests"):
+            ServeConfig.from_dict({"requests": "7"})
+
+    @pytest.mark.parametrize("leg, name", [
+        (ServeConfig, "replicas"),
+        (StreamConfig, "requests"),
+        (StreamConfig, "publish_interval"),
+        (TuneConfig, "top_k"),
+        (TuneConfig, "diversity_cap"),
+        (PicassoConfig, "flush_iters"),
+        (PicassoConfig, "prefetch_lookahead"),
+        (PrefetchConfig, "lookahead_depth"),
+    ])
+    def test_non_integer_counts_rejected(self, leg, name):
+        for value in (1.5, True, 0):
+            with pytest.raises(ValueError, match=name):
+                leg(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        config = ServeConfig(requests=np.int64(300), replicas=np.int32(1),
+                             rate_qps=np.float64(5_000.0))
+        assert config.requests == 300
 
 
 class TestProfileFaultPlan:

@@ -9,6 +9,7 @@ import io
 
 import pytest
 
+from repro.api import RunConfig
 from repro.cli import main
 from repro.experiments import (
     fig01_gpu_util,
@@ -167,6 +168,22 @@ class TestCommon:
             benchmark_model("BERT")
         with pytest.raises(KeyError):
             production_model("BERT")
+
+    def test_catalogs_do_not_leak_into_each_other(self):
+        # The two used to share one name-keyed cache, so a production
+        # model built first was then served as a benchmark model.
+        production_model("W&D")
+        with pytest.raises(KeyError):
+            benchmark_model("W&D")
+        benchmark_model("DLRM")
+        with pytest.raises(KeyError):
+            production_model("DLRM")
+
+    def test_catalog_models_share_the_facade_memo(self):
+        model, dataset = production_model("CAN")
+        assert model is RunConfig(model="CAN",
+                                  dataset="Product-2").build_model()
+        assert dataset is model.dataset
 
     def test_run_framework_dispatch(self):
         model, _dataset = benchmark_model("DLRM")
