@@ -29,7 +29,7 @@ All configs share the :class:`~repro.config_base.ConfigBase` contract:
 rejected.
 
 Framework dispatch is an open registry: :func:`register_framework`
-binds a name to a runner callable, and ``api.FRAMEWORKS`` reflects
+binds a name to a runner callable, and :func:`frameworks` lists
 whatever is currently registered (the paper's six frameworks ship
 built in).  Cluster specs are strings like ``eflops:16`` / ``gn6e:1``
 (or an already-built :class:`~repro.hardware.topology.ClusterSpec`),
@@ -116,14 +116,6 @@ def framework_runner(name: str):
     except KeyError:
         raise ValueError(f"unknown framework {name!r}; "
                          f"expected one of {frameworks()}") from None
-
-
-def __getattr__(name: str):
-    # ``api.FRAMEWORKS`` predates the registry; keep it as a dynamic
-    # view so plug-in registrations show up in old call sites too.
-    if name == "FRAMEWORKS":
-        return frameworks()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_cluster(spec) -> ClusterSpec:

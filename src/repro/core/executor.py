@@ -63,11 +63,6 @@ class RunReport:
                 self.result.makespan)
         return self._breakdown
 
-    @property
-    def node_ips(self) -> float:
-        """Per-node throughput (workers-per-node x per-worker IPS)."""
-        return self.ips
-
     def gpu_core_hours(self, instances: float, workers: int = 1) -> float:
         """GPU hours to train ``instances`` rows on ``workers`` GPUs.
 

@@ -54,27 +54,6 @@ def estimate_micro_batches(plan: ExecutionPlan,
     return max(1, min(8, slices))
 
 
-def interleave_capacity(groups: list, batch_size: int,
-                        stats: WorkloadStats,
-                        network_bytes_per_step: float) -> float:
-    """Eq. 3: per-set capacity in processed parameter volume.
-
-    ``Capacity_g = min_op(RBound_op / RParam_op)``; treating parameter
-    volume as the cost of embedding lookup and exchange, the binding
-    resource is the network: a set should carry no more parameter
-    volume than the NIC moves in one overlappable window.
-    """
-    total = sum(calc_vparam(list(group.fields), batch_size, stats)
-                * group.shard_fraction for group in groups)
-    if total <= 0:
-        return 1.0
-    # One overlappable window is what the network transfers while an
-    # average set computes; empirically the paper lands at 3-7 sets for
-    # its production models, i.e. capacity ~ total / 5.
-    window_volume = network_bytes_per_step / 4.0
-    return max(total / len(groups), min(total, window_volume))
-
-
 def estimate_interleave_sets(groups: list, batch_size: int,
                              stats: WorkloadStats | None = None,
                              capacity: float | None = None) -> int:

@@ -51,15 +51,6 @@ class FrequencyCounter:
                          key=lambda item: (-item[1], item[0]))
         return [(int(key), int(count)) for key, count in ordered[:k]]
 
-    def merge(self, other: "FrequencyCounter") -> "FrequencyCounter":
-        """Fold another counter's statistics into this one (in place).
-
-        Lets per-worker counters combine into the global view the
-        planner needs; returns ``self`` for chaining.
-        """
-        self._counts.update(other._counts)
-        return self
-
     def distinct_ids(self) -> int:
         """How many distinct IDs have been observed."""
         return len(self._counts)

@@ -52,13 +52,6 @@ class CacheStats:
             "hit_ratio": self.hit_ratio,
         }
 
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Combined counts of two caches/runs (``Stats`` protocol)."""
-        return CacheStats(
-            hot_hits=self.hot_hits + other.hot_hits,
-            cold_misses=self.cold_misses + other.cold_misses,
-            flushes=self.flushes + other.flushes)
-
 
 class HybridHash:
     """Hot/cold cached embedding store (Algorithm 1).

@@ -69,10 +69,6 @@ class TierStats:
         """Plain-dict snapshot for metrics export and benchmarks."""
         return {"hits": self.hits}
 
-    def merge(self, other: "TierStats") -> "TierStats":
-        """Combined counts of two tiers/runs (``Stats`` protocol)."""
-        return TierStats(hits=self.hits + other.hits)
-
 
 class MultiLevelCache:
     """An N-tier frequency-managed embedding cache.

@@ -36,7 +36,7 @@ from repro.training.trainer import SyncTrainer
 
 @dataclass
 class RecoveryReport:
-    """Fault-tolerance accounting for one training run (``Stats``).
+    """Fault-tolerance accounting for one training run.
 
     Wall-time decomposes as ``useful + replayed + checkpoint + repair
     + stalled`` (stalled = straggler inflation of step time); goodput

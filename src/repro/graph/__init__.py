@@ -10,7 +10,6 @@ operate on these graphs.
 
 from repro.graph.op import Op, OpKind, efficiency_capped_rate
 from repro.graph.graph import Graph
-from repro.graph.fusion import fuse_chains, fusible_chains, fusion_report
 from repro.graph.builder import (
     CostModel,
     EmbeddingGroup,
@@ -31,7 +30,4 @@ __all__ = [
     "IterationGraphBuilder",
     "WorkloadStats",
     "groups_per_field",
-    "fuse_chains",
-    "fusible_chains",
-    "fusion_report",
 ]

@@ -1267,27 +1267,6 @@ class IterationGraphBuilder:
             phases.append(self._hbm_phase(stitch_bytes))
         return phases or [self._hbm_phase(1.0)]
 
-    def planned_prefetch_seconds(self, iterations: int) -> float:
-        """Solo seconds of the whole background prefetch stream.
-
-        Prices the per-iteration staged window at each phase's
-        uncontended rate and sums across the ``iterations - 1``
-        covered steps — the analytic credit the what-if replayer uses
-        for candidates that enable the stream (work moved off the
-        synchronous path is work the replayed trace no longer
-        exposes).
-        """
-        staged, _share = self._prefetch_group_bytes()
-        if not staged or iterations <= 1:
-            return 0.0
-        per_iteration = 0.0
-        for group in self.plan.groups:
-            cold, remote = staged[group.name]
-            for phase in self._prefetch_phases(cold, remote,
-                                               group.is_packed):
-                per_iteration += phase.work / phase.max_rate
-        return per_iteration * (iterations - 1)
-
     def _sparse_update_phases(self, update_bytes: float,
                               packed: bool,
                               cold_scale: float = 1.0) -> list:

@@ -21,7 +21,6 @@ from repro.nn.optim import SGD, Adagrad, Adam, Lamb, Optimizer
 from repro.nn.loss import bce_loss, bce_loss_grad
 from repro.nn.metrics import auc_score, log_loss
 from repro.nn.network import WdlNetwork
-from repro.nn.normalization import BatchNorm, ResidualBlock
 
 __all__ = [
     "Dense",
@@ -45,6 +44,4 @@ __all__ = [
     "auc_score",
     "log_loss",
     "WdlNetwork",
-    "BatchNorm",
-    "ResidualBlock",
 ]

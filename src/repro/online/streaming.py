@@ -73,7 +73,7 @@ class StreamingTrainer:
         full-vs-delta (first publish and every ``max_chain`` publishes
         compact to a full base).
     :param publish_interval: steps between publishes (> 0).
-    :param optimizer/tracer/registry_metrics: forwarded to the inner
+    :param optimizer/tracer: forwarded to the inner
         :class:`~repro.training.trainer.SyncTrainer`.
     :param flight: optional :class:`repro.telemetry.FlightRecorder`
         forwarded to the inner trainer (loss samples, step guard).
@@ -89,8 +89,8 @@ class StreamingTrainer:
 
     def __init__(self, network: WdlNetwork, stream: DriftingStream,
                  registry: SnapshotRegistry, publish_interval: int = 50,
-                 optimizer=None, tracer=None, registry_metrics=None,
-                 flight=None, provenance=None, prefetcher=None):
+                 optimizer=None, tracer=None, flight=None,
+                 provenance=None, prefetcher=None):
         if publish_interval < 1:
             raise ValueError(
                 f"publish_interval must be >= 1, got {publish_interval}")
@@ -100,9 +100,7 @@ class StreamingTrainer:
         self.publish_interval = int(publish_interval)
         self.provenance = dict(provenance or {})
         self._trainer = SyncTrainer(network, optimizer=optimizer,
-                                    tracer=tracer,
-                                    registry=registry_metrics,
-                                    flight=flight)
+                                    tracer=tracer, flight=flight)
         self.stats = StreamingTrainerStats()
         self.publishes: list = []
         self._dirty: dict = {name: set() for name in network.embeddings}

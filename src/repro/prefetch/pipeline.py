@@ -111,18 +111,6 @@ class PrefetchStats:
             "overlap_ratio": self.overlap_ratio,
         }
 
-    def merge(self, other: "PrefetchStats") -> "PrefetchStats":
-        """Combined account of two pipelines (``Stats`` protocol)."""
-        return PrefetchStats(
-            batches=self.batches + other.batches,
-            hot=self.hot + other.hot,
-            cold=self.cold + other.cold,
-            staged=self.staged + other.staged,
-            reordered=self.reordered + other.reordered,
-            staged_bytes=self.staged_bytes + other.staged_bytes,
-            fetch_seconds=self.fetch_seconds + other.fetch_seconds,
-            hidden_seconds=self.hidden_seconds + other.hidden_seconds)
-
 
 @dataclass
 class _Entry:

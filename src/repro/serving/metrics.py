@@ -32,8 +32,7 @@ class ServingReport:
     """Headline metrics of one serving run.
 
     ``latency_hist`` carries the full latency distribution (ms) as a
-    mergeable log-bucket histogram; the ``p*_ms`` fields are its
-    quantiles, so merged reports expose true combined percentiles.
+    log-bucket histogram; the ``p*_ms`` fields are its quantiles.
     """
 
     served: int
@@ -69,46 +68,6 @@ class ServingReport:
         if self.degraded is not None:
             payload["degraded"] = dict(self.degraded)
         return payload
-
-    def merge(self, other: "ServingReport") -> "ServingReport":
-        """Combine two runs/shards (``Stats`` protocol).
-
-        Counts, makespans and stage times add; the latency histograms
-        merge bucket-exactly and the combined percentiles are read off
-        the merged histogram (reports built without raw latencies fall
-        back to the pairwise max); QPS, shed rate and the hit ratio
-        are recomputed from the combined counts.
-        """
-        served = self.served + other.served
-        shed = self.shed + other.shed
-        makespan = self.makespan_s + other.makespan_s
-        stages = dict(self.stage_seconds)
-        for stage, seconds in other.stage_seconds.items():
-            stages[stage] = stages.get(stage, 0.0) + seconds
-        if served > 0:
-            hit_ratio = (self.cache_hit_ratio * self.served
-                         + other.cache_hit_ratio * other.served) / served
-        else:
-            hit_ratio = 0.0
-        hist = self.latency_hist.merge(other.latency_hist)
-        if hist.count > 0:
-            p50, p95, p99 = _percentiles_ms(hist)
-        else:
-            p50 = max(self.p50_ms, other.p50_ms)
-            p95 = max(self.p95_ms, other.p95_ms)
-            p99 = max(self.p99_ms, other.p99_ms)
-        return ServingReport(
-            served=served,
-            shed=shed,
-            p50_ms=p50,
-            p95_ms=p95,
-            p99_ms=p99,
-            qps=served / makespan if makespan > 0 else 0.0,
-            shed_rate=shed / (served + shed) if served + shed else 0.0,
-            cache_hit_ratio=hit_ratio,
-            makespan_s=makespan,
-            stage_seconds=stages,
-            latency_hist=hist)
 
     def row(self) -> dict:
         """One formatted table row (for ``format_table``)."""
@@ -172,7 +131,7 @@ class ServingMetrics:
             self._stage_seconds.get(stage, 0.0) + seconds
 
     def latency_histogram(self) -> Histogram:
-        """The latency distribution (in ms) as a mergeable histogram."""
+        """The latency distribution (in ms) as a log-bucket histogram."""
         return Histogram.from_values(
             latency * 1e3 for latency in self._latencies)
 

@@ -14,7 +14,8 @@ Execution model:
 
 The engine simulates a single worker node in detail.  Distributed
 effects (collective communication volume, stragglers from skewed data)
-enter through the phase costs computed by :mod:`repro.distributed`.
+enter through the phase costs the graph builder prices
+(:mod:`repro.graph.builder`).
 """
 
 from __future__ import annotations
@@ -169,12 +170,7 @@ class TaskTable:
 
 @dataclass
 class SimSummary:
-    """Headline numbers of one engine run (a ``Stats`` object).
-
-    The mergeable summary telemetry exports; ``merge`` composes two
-    runs sequentially (makespans and counts add, per-resource busy
-    time and work add).
-    """
+    """Headline numbers of one engine run, as telemetry exports them."""
 
     makespan: float
     task_count: int
@@ -191,20 +187,6 @@ class SimSummary:
             "busy_seconds": dict(self.busy_seconds),
             "work_done": dict(self.work_done),
         }
-
-    def merge(self, other: "SimSummary") -> "SimSummary":
-        """Sequential composition of two runs into one summary."""
-        busy = dict(self.busy_seconds)
-        for kind, seconds in other.busy_seconds.items():
-            busy[kind] = busy.get(kind, 0.0) + seconds
-        work = dict(self.work_done)
-        for kind, units in other.work_done.items():
-            work[kind] = work.get(kind, 0.0) + units
-        return SimSummary(
-            makespan=self.makespan + other.makespan,
-            task_count=self.task_count + other.task_count,
-            event_count=self.event_count + other.event_count,
-            busy_seconds=busy, work_done=work)
 
 
 @dataclass
@@ -239,7 +221,7 @@ class SimResult:
         return self.recorder.trace(kind).work_done / self.makespan
 
     def summary(self) -> SimSummary:
-        """The mergeable :class:`SimSummary` of this run."""
+        """The :class:`SimSummary` of this run."""
         return SimSummary(
             makespan=self.makespan,
             task_count=self.task_count,

@@ -1,13 +1,11 @@
-"""Unified telemetry: spans, metrics, Chrome-trace export, critical path.
+"""Unified telemetry: spans, Chrome-trace export, critical path.
 
 The observability layer every subsystem plugs into.  Producers
 (simulator engine, trainer, serving stack, experiment runner) emit
-:class:`Span` trees, :class:`~repro.sim.trace.TaskRecord` lists and
-registry metrics; consumers turn them into one Chrome-trace JSON
-(:func:`chrome_trace`, loadable in Perfetto) and a ranked critical-path
-report (:func:`analyze_critical_path`).  The :class:`Stats` protocol is
-the export/merge contract all headline-number objects in the repo
-satisfy.
+:class:`Span` trees and :class:`~repro.sim.trace.TaskRecord` lists;
+consumers turn them into one Chrome-trace JSON (:func:`chrome_trace`,
+loadable in Perfetto) and a ranked critical-path report
+(:func:`analyze_critical_path`).
 """
 
 from repro.telemetry.chrome_trace import (
@@ -33,7 +31,6 @@ from repro.telemetry.diff import (
     diff_snapshots,
     diff_traces,
 )
-from repro.telemetry.metrics import Counter, Gauge, MetricsRegistry
 from repro.telemetry.monitor import (
     Alert,
     CacheHealthMonitor,
@@ -58,51 +55,32 @@ from repro.telemetry.recorder import (
     annotate_timeseries,
 )
 from repro.telemetry.span import ManualClock, Span, Tracer, maybe_span
-from repro.telemetry.stats import (
-    Stats,
-    is_stats,
-    merge_all,
-    merge_numeric_dicts,
-)
-from repro.telemetry.timeseries import (
-    Ewma,
-    FixedWindowAggregator,
-    Histogram,
-    RollingWindow,
-    WindowStats,
-)
+from repro.telemetry.timeseries import Ewma, Histogram
 
 __all__ = [
     "Alert",
     "AnomalyDetector",
     "BenchDiff",
     "CacheHealthMonitor",
-    "Counter",
     "CriticalPathReport",
     "DiffEntry",
     "Ewma",
     "FlightRecorder",
-    "FixedWindowAggregator",
-    "Gauge",
     "Histogram",
     "ManualClock",
-    "MetricsRegistry",
     "MonitorReport",
     "OverlapMonitor",
     "PathEntry",
     "PathStep",
     "PrefetchMonitor",
     "PulseDetector",
-    "RollingWindow",
     "RunManifest",
     "SkewMonitor",
     "SloBurnRateMonitor",
     "Span",
-    "Stats",
     "TraceDiff",
     "Tracer",
     "UtilizationPhase",
-    "WindowStats",
     "align_records",
     "analyze_critical_path",
     "annotate_timeseries",
@@ -116,10 +94,7 @@ __all__ = [
     "emit_alerts",
     "format_critical_path",
     "git_describe",
-    "is_stats",
     "maybe_span",
-    "merge_all",
-    "merge_numeric_dicts",
     "trace_to_json",
     "validate_chrome_trace",
     "write_chrome_trace",

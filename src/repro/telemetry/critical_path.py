@@ -93,7 +93,7 @@ class PathEntry:
 
 @dataclass
 class CriticalPathReport:
-    """The analyzer's full output (a ``Stats``-style object)."""
+    """The analyzer's full output."""
 
     makespan: float
     path: list = field(default_factory=list)  # PathStep, chronological
@@ -121,30 +121,6 @@ class CriticalPathReport:
                               for name in RESOURCE_CLASSES},
             "path_length": len(self.path),
         }
-
-    def merge(self, other: "CriticalPathReport") -> "CriticalPathReport":
-        """Sequential composition: concatenate paths, re-rank entries."""
-        offset = self.makespan
-        path = list(self.path) + [
-            PathStep(step.name, step.start + offset, step.end + offset,
-                     step.kind) for step in other.path]
-        merged: dict = {}
-        for entry in list(self.entries) + list(other.entries):
-            if entry.label in merged:
-                previous = merged[entry.label]
-                merged[entry.label] = (previous[0] + entry.seconds,
-                                       previous[1] + entry.occurrences,
-                                       _merge_classes(previous[2],
-                                                      entry.classes))
-            else:
-                merged[entry.label] = (entry.seconds, entry.occurrences,
-                                       dict(entry.classes))
-        makespan = self.makespan + other.makespan
-        entries = _rank(merged, makespan)
-        classes = _merge_classes(self.class_seconds, other.class_seconds)
-        return CriticalPathReport(makespan=makespan, path=path,
-                                  entries=entries, class_seconds=classes,
-                                  top_k=self.top_k)
 
 
 def _merge_classes(left: dict, right: dict) -> dict:

@@ -620,9 +620,7 @@ class SkewMonitor:
 
     Consumes per-worker exchange bytes — an
     :class:`~repro.embedding.placement.ExchangeLoad` (measured by
-    :func:`~repro.embedding.placement.measure_exchange` or accumulated
-    by a plan-backed
-    :class:`~repro.distributed.strategies.DataParallelTrainer`) or any
+    :func:`~repro.embedding.placement.measure_exchange`) or any
     per-worker byte sequence — and reports the max/mean shard-bytes
     ratio.  The collective completes when its most-loaded shard does,
     so a ratio of 2.0 means the exchange runs at half the balanced

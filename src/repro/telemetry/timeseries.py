@@ -1,21 +1,15 @@
-"""Time-series telemetry: EWMA, rolling windows, mergeable histograms.
+"""Time-series telemetry: an EWMA and a log-bucket histogram.
 
-Spans answer "when", the registry answers "how much"; this module
-answers "how is it trending".  Producers push samples as they happen —
-sim interval rates, serving completions, per-iteration cache hit
-ratios — and three reducers turn the stream into monitorable signals:
+Spans answer "when"; this module answers "how is it trending".
+Producers push samples as they happen — sim interval rates, serving
+completions, per-iteration cache hit ratios — and two reducers turn
+the stream into monitorable signals:
 
 * :class:`Ewma` — exponentially weighted moving average, the smoothed
   level health monitors threshold against;
-* :class:`RollingWindow` / :class:`FixedWindowAggregator` — bounded
-  recent-history and fixed-window (count/sum/min/max/mean) aggregation
-  over ``(time, value)`` samples, mirroring the paper's 10 ms DCGM
-  sampling grid;
-* :class:`Histogram` — a *mergeable* log-bucket histogram with
-  exact-bound quantile queries: merging per-shard histograms and then
-  asking for p99 gives the true combined quantile up to one bucket's
-  relative width, unlike the "max of per-shard p99s" estimate it
-  replaces in :class:`~repro.serving.metrics.ServingReport`.
+* :class:`Histogram` — a log-bucket histogram with exact-bound
+  quantile queries, the latency distribution behind
+  :class:`~repro.serving.metrics.ServingReport`'s percentiles.
 
 Everything here is a pure function of the observed samples, so
 deterministic runs produce byte-identical exports.
@@ -24,8 +18,6 @@ deterministic runs produce byte-identical exports.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
 
 #: Default per-bucket relative width of :class:`Histogram` (2%).
 DEFAULT_GROWTH = 1.02
@@ -61,116 +53,8 @@ class Ewma:
         return self.value
 
 
-class RollingWindow:
-    """The last ``capacity`` samples with O(1) mean/min/max queries."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._values: deque = deque(maxlen=self.capacity)
-
-    def push(self, sample: float) -> None:
-        """Append one sample, evicting the oldest when full."""
-        self._values.append(float(sample))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def values(self) -> list:
-        """Samples currently in the window, oldest first."""
-        return list(self._values)
-
-    @property
-    def mean(self) -> float:
-        """Mean of the window (0.0 when empty)."""
-        if not self._values:
-            return 0.0
-        return sum(self._values) / len(self._values)
-
-    @property
-    def min(self) -> float:
-        """Smallest sample in the window (``inf`` when empty)."""
-        return min(self._values) if self._values else float("inf")
-
-    @property
-    def max(self) -> float:
-        """Largest sample in the window (``-inf`` when empty)."""
-        return max(self._values) if self._values else float("-inf")
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    """Aggregate of one fixed time window."""
-
-    start: float
-    end: float
-    count: int
-    total: float
-    low: float
-    high: float
-
-    @property
-    def mean(self) -> float:
-        """Mean sample value in the window."""
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "count": self.count,
-            "total": self.total,
-            "low": self.low,
-            "high": self.high,
-            "mean": self.mean,
-        }
-
-
-class FixedWindowAggregator:
-    """Reduces ``(time, value)`` samples onto fixed-width windows.
-
-    The time-series twin of ``repro.sim.metrics``'s bucket grid: window
-    ``i`` covers ``[i * window_s, (i+1) * window_s)``.  Windows with no
-    samples are skipped (not zero-filled) so sparse streams stay sparse.
-    """
-
-    def __init__(self, window_s: float):
-        if window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {window_s}")
-        self.window_s = float(window_s)
-        self._windows: dict = {}  # index -> [count, total, low, high]
-
-    def add(self, when_s: float, value: float = 1.0) -> None:
-        """Fold one timestamped sample into its window."""
-        if when_s < 0:
-            raise ValueError(f"sample time must be >= 0, got {when_s}")
-        index = int(when_s // self.window_s)
-        value = float(value)
-        window = self._windows.get(index)
-        if window is None:
-            self._windows[index] = [1, value, value, value]
-        else:
-            window[0] += 1
-            window[1] += value
-            window[2] = min(window[2], value)
-            window[3] = max(window[3], value)
-
-    def windows(self) -> list:
-        """Non-empty :class:`WindowStats`, in time order."""
-        stats = []
-        for index in sorted(self._windows):
-            count, total, low, high = self._windows[index]
-            stats.append(WindowStats(
-                start=index * self.window_s,
-                end=(index + 1) * self.window_s,
-                count=count, total=total, low=low, high=high))
-        return stats
-
-
 class Histogram:
-    """Mergeable log-bucket histogram with exact-bound quantiles.
+    """Log-bucket histogram with exact-bound quantiles.
 
     Values land in geometric buckets: bucket ``i`` covers
     ``[min_value * growth**i, min_value * growth**(i+1))`` and values
@@ -179,13 +63,6 @@ class Histogram:
     observed maximum — so the answer is always a true upper bound on
     the requested quantile, and is at most one bucket's relative width
     (``growth - 1``, 2% by default) above it.
-
-    Two histograms with the same ``growth``/``min_value`` merge by
-    adding bucket counts, which is exact: quantiles of the merged
-    histogram are quantiles of the combined sample stream (to bucket
-    resolution), not an estimate from the parts' summaries.  Merging is
-    associative with the empty histogram as identity, making this a
-    :class:`~repro.telemetry.stats.Stats` object safe for shard trees.
     """
 
     def __init__(self, growth: float = DEFAULT_GROWTH,
@@ -257,24 +134,6 @@ class Histogram:
             if cumulative >= rank:
                 return min(self.bucket_upper_bound(index), self.max)
         return self.max  # pragma: no cover - rank <= count always hits
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Bucket-exact combination of two histograms (``Stats``)."""
-        if (other.growth != self.growth
-                or other.min_value != self.min_value):
-            raise ValueError(
-                "cannot merge histograms with different bucket layouts: "
-                f"growth {self.growth} vs {other.growth}, min_value "
-                f"{self.min_value} vs {other.min_value}")
-        merged = Histogram(growth=self.growth, min_value=self.min_value)
-        merged._buckets = dict(self._buckets)
-        for index, count in other._buckets.items():
-            merged._buckets[index] = merged._buckets.get(index, 0) + count
-        merged.count = self.count + other.count
-        merged.total = self.total + other.total
-        merged.min = min(self.min, other.min)
-        merged.max = max(self.max, other.max)
-        return merged
 
     def as_dict(self) -> dict:
         """JSON-ready snapshot; bucket list is sorted by index."""

@@ -13,12 +13,11 @@ from repro.nn.metrics import auc_score, log_loss
 from repro.nn.network import WdlNetwork
 from repro.nn.optim import Adagrad
 from repro.telemetry.span import maybe_span
-from repro.telemetry.timeseries import Ewma
 
 
 @dataclass
 class TrainResult:
-    """Outcome of one training run (a ``Stats`` object)."""
+    """Outcome of one training run."""
 
     auc: float
     logloss: float
@@ -39,24 +38,6 @@ class TrainResult:
             "final_loss": self.final_loss,
         }
 
-    def merge(self, other: "TrainResult") -> "TrainResult":
-        """Combine two runs: losses concatenate, quality averages.
-
-        AUC and log-loss are weighted by each run's step count — the
-        aggregation used when the same trajectory is split across
-        evaluation windows.
-        """
-        total = self.steps + other.steps
-        if total == 0:
-            return TrainResult(auc=self.auc, logloss=self.logloss,
-                               steps=0, losses=[])
-        weight = self.steps / total
-        return TrainResult(
-            auc=self.auc * weight + other.auc * (1.0 - weight),
-            logloss=self.logloss * weight + other.logloss * (1.0 - weight),
-            steps=total,
-            losses=list(self.losses) + list(other.losses))
-
 
 class SyncTrainer:
     """Synchronous training: gradients applied immediately.
@@ -68,15 +49,9 @@ class SyncTrainer:
     """
 
     def __init__(self, network: WdlNetwork, optimizer=None, tracer=None,
-                 registry=None, loss_alpha: float = 0.1, flight=None,
-                 anomaly=None):
+                 flight=None, anomaly=None):
         """:param tracer: optional :class:`repro.telemetry.Tracer`;
         each step becomes a wall-clock span on the ``train`` track.
-        :param registry: optional
-            :class:`repro.telemetry.MetricsRegistry`; the trainer keeps
-            its ``train/steps`` counter and ``train/loss_ewma`` gauge
-            (EWMA-smoothed with ``loss_alpha``) current, so a long run
-            is monitorable mid-flight.
         :param flight: optional
             :class:`repro.telemetry.FlightRecorder`; every step's loss
             lands in the ring as a sample (step index as modeled
@@ -90,8 +65,6 @@ class SyncTrainer:
         self.network = network
         self.optimizer = optimizer or Adagrad(lr=0.05)
         self.tracer = tracer
-        self.registry = registry
-        self.loss_ewma = Ewma(alpha=loss_alpha)
         self.flight = flight
         if anomaly is None and flight is not None:
             from repro.telemetry.recorder import AnomalyDetector
@@ -117,10 +90,6 @@ class SyncTrainer:
                 loss = self.network.train_step(batch, self.optimizer)
             if span is not None:
                 span.attrs["loss"] = loss
-        smoothed = self.loss_ewma.update(loss)
-        if self.registry is not None:
-            self.registry.counter("train/steps").inc()
-            self.registry.gauge("train/loss_ewma").set(smoothed)
         if self.flight is not None:
             self.flight.record_sample("train/loss", float(index), loss,
                                       track="train")

@@ -1,16 +1,10 @@
-"""Tests for trace export, topology-aware comm, and the CLI."""
+"""Tests for trace export and the CLI."""
 
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.distributed.topology import (
-    effective_worker_bandwidth,
-    plan_nic_assignments,
-    stagger_offsets,
-)
-from repro.hardware import eflops_cluster, gn6e_cluster
 from repro.sim import Engine, Phase, Resource, ResourceKind, SimTask
 from repro.sim.export import ascii_gantt, busy_summary, timeline_json
 
@@ -61,54 +55,6 @@ class TestExport:
         assert summary["net"]["busy_fraction"] == pytest.approx(5 / 7,
                                                                 abs=0.01)
         assert 0 <= summary["gpu_sm"]["mean_utilization"] <= 1
-
-
-class TestTopologyAwareComm:
-    def test_assignments_cover_all_workers(self):
-        cluster = gn6e_cluster(1)  # 8 GPUs per node
-        assignments = plan_nic_assignments(cluster, nics_per_node=2)
-        assert len(assignments) == 8
-        assert {a.nic_index for a in assignments} == {0, 1}
-
-    def test_shares_sum_to_one_per_nic(self):
-        assignments = plan_nic_assignments(gn6e_cluster(1),
-                                           nics_per_node=2)
-        per_nic: dict = {}
-        for assignment in assignments:
-            per_nic.setdefault(assignment.nic_index, 0.0)
-            per_nic[assignment.nic_index] += assignment.bandwidth_share
-        for total in per_nic.values():
-            assert total == pytest.approx(1.0)
-
-    def test_single_gpu_node_trivial(self):
-        assignments = plan_nic_assignments(eflops_cluster(1))
-        assert len(assignments) == 1
-        assert assignments[0].bandwidth_share == 1.0
-
-    def test_topology_awareness_beats_contention(self):
-        aware = effective_worker_bandwidth(gn6e_cluster(1),
-                                           topology_aware=True)
-        naive = effective_worker_bandwidth(gn6e_cluster(1),
-                                           topology_aware=False)
-        assert aware > naive
-
-    def test_more_nics_more_bandwidth(self):
-        one = effective_worker_bandwidth(gn6e_cluster(1), nics_per_node=1)
-        two = effective_worker_bandwidth(gn6e_cluster(1), nics_per_node=2)
-        assert two == pytest.approx(2 * one)
-
-    def test_stagger_offsets(self):
-        assignments = plan_nic_assignments(gn6e_cluster(1),
-                                           nics_per_node=4)
-        offsets = stagger_offsets(assignments, burst_seconds=0.01)
-        assert offsets[0] == 0.0
-        assert max(offsets.values()) == pytest.approx(0.01)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_nic_assignments(gn6e_cluster(1), nics_per_node=0)
-        with pytest.raises(ValueError):
-            stagger_offsets([], burst_seconds=-1.0)
 
 
 class TestCli:

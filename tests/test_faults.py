@@ -1,18 +1,10 @@
 """Tests for repro.faults: plans, injection, recovery, degraded mode."""
 
-import numpy as np
 import pytest
 
 from repro.api import ServeConfig, serve
 from repro.data.labeled import LabeledBatchIterator
 from repro.data.spec import DatasetSpec, FieldSpec
-from repro.distributed.collectives import (
-    CollectiveTimeout,
-    FaultAwareAllreduce,
-    RetryPolicy,
-    allreduce_mean,
-    failed_workers_oracle,
-)
 from repro.faults import (
     DegradedModeController,
     FaultEvent,
@@ -168,68 +160,6 @@ class TestFaultInjector:
         assert injector.tasks_killed() == 1
         (event, _time, killed), = injector.log
         assert event.kind == "crash" and killed == 1
-
-
-class TestFaultAwareAllreduce:
-    def _arrays(self, workers=3):
-        return [np.full(4, float(rank)) for rank in range(workers)]
-
-    def test_clean_path_matches_plain_allreduce(self):
-        collective = FaultAwareAllreduce(workers=3)
-        outcome = collective.allreduce_mean(self._arrays())
-        assert outcome.attempts == 1
-        assert outcome.elapsed_s == 0.0
-        assert outcome.dropped_workers == ()
-        assert np.array_equal(outcome.result,
-                              allreduce_mean(self._arrays()))
-
-    def test_transient_failure_retries_then_succeeds(self):
-        policy = RetryPolicy(max_retries=3, timeout_s=0.5,
-                             base_backoff_s=0.1)
-        # Worker 1 is down until t=0.5; the first rendezvous times out
-        # and the retry finds everyone back.
-        collective = FaultAwareAllreduce(
-            workers=3, policy=policy,
-            failure_oracle=lambda t: {1} if t < 0.5 else set())
-        outcome = collective.allreduce_mean(self._arrays(), now_s=0.0)
-        assert outcome.attempts == 2
-        assert outcome.elapsed_s == pytest.approx(0.6)  # timeout+backoff
-        assert outcome.dropped_workers == ()
-        assert np.array_equal(outcome.result,
-                              allreduce_mean(self._arrays()))
-
-    def test_permanent_failure_drops_worker(self):
-        collective = FaultAwareAllreduce(
-            workers=3, policy=RetryPolicy(max_retries=2),
-            failure_oracle=lambda t: {1})
-        outcome = collective.allreduce_mean(self._arrays())
-        assert outcome.attempts == 3
-        assert outcome.dropped_workers == (1,)
-        # Mean over the survivors 0 and 2.
-        assert np.allclose(outcome.result, 1.0)
-
-    def test_total_failure_raises_timeout(self):
-        collective = FaultAwareAllreduce(
-            workers=2, policy=RetryPolicy(max_retries=1),
-            failure_oracle=lambda t: {0, 1})
-        with pytest.raises(CollectiveTimeout):
-            collective.allreduce_mean(self._arrays(workers=2))
-
-    def test_plan_oracle_tracks_crash_windows(self):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="crash", time_s=1.0, duration_s=2.0,
-                       worker=1),))
-        oracle = failed_workers_oracle(plan)
-        assert oracle(0.5) == set()
-        assert oracle(1.5) == {1}
-        assert oracle(3.5) == set()
-
-    def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(base_backoff_s=0.05, backoff_factor=2.0)
-        assert policy.backoff_s(0) == pytest.approx(0.05)
-        assert policy.backoff_s(2) == pytest.approx(0.20)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
 
 
 def _tiny_dataset():

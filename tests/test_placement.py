@@ -8,10 +8,8 @@ import pytest
 from repro.cli import main
 from repro.core import PicassoConfig, PicassoPlanner
 from repro.data import criteo
-from repro.data.labeled import LabeledBatchIterator
-from repro.data.spec import DatasetSpec, FieldSpec
+from repro.data.spec import FieldSpec
 from repro.data.synthetic import BoundedZipf
-from repro.distributed import DataParallelTrainer
 from repro.embedding import (
     ExchangeLoad,
     FrequencyCounter,
@@ -28,7 +26,6 @@ from repro.embedding import (
 )
 from repro.hardware import eflops_cluster
 from repro.models import wide_deep
-from repro.nn.network import WdlNetwork
 from repro.telemetry import SkewMonitor, Tracer
 from repro.telemetry.monitor import emit_alerts
 
@@ -335,42 +332,6 @@ class TestCorePlannerWiring:
     def test_unknown_shard_policy_rejected(self):
         with pytest.raises(ValueError):
             PicassoConfig(shard_policy="random")
-
-
-class TestTrainerExchangeStats:
-    def _dataset(self):
-        return DatasetSpec(name="d", num_numeric=2, fields=(
-            FieldSpec(name="a", vocab_size=1_000, embedding_dim=8),
-            FieldSpec(name="s", vocab_size=1_000, embedding_dim=8,
-                      seq_length=4),
-        ))
-
-    def test_plan_backed_trainer_accumulates_exchange(self):
-        dataset = self._dataset()
-        planner = ShardPlanner(2)
-        plan = planner.plan_fields(dataset.fields, batch_size=32)
-        trainer = DataParallelTrainer(
-            WdlNetwork(dataset), workers=2, placement_plan=plan)
-        batch = LabeledBatchIterator(dataset, 64, noise_scale=0.5,
-                                     seed=0).next_batch()
-        trainer.train_step(batch)
-        trainer.train_step(batch)
-        stats = trainer.exchange_stats()
-        assert stats["steps"] == 2
-        assert stats["policy"] == "planned"
-        assert stats["max_mean_ratio"] >= 1.0
-
-    def test_no_plan_returns_empty_stats(self):
-        dataset = self._dataset()
-        trainer = DataParallelTrainer(WdlNetwork(dataset), workers=2)
-        assert trainer.exchange_stats() == {}
-
-    def test_plan_worker_mismatch_rejected(self):
-        dataset = self._dataset()
-        plan = ShardPlanner(4).plan_fields(dataset.fields, batch_size=32)
-        with pytest.raises(ValueError):
-            DataParallelTrainer(WdlNetwork(dataset), workers=2,
-                                placement_plan=plan)
 
 
 class TestPlanShardsCli:

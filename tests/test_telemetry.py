@@ -8,14 +8,11 @@ from repro.api import RunConfig, profile
 from repro.sim.trace import TaskRecord
 from repro.telemetry import (
     ManualClock,
-    MetricsRegistry,
     Tracer,
     analyze_critical_path,
     chrome_trace,
     format_critical_path,
     maybe_span,
-    merge_all,
-    merge_numeric_dicts,
     trace_to_json,
     validate_chrome_trace,
 )
@@ -72,40 +69,6 @@ class TestSpans:
             pass
         tracer.instant("shed", timestamp=0.0, track="slo")
         assert tracer.tracks() == ["train", "serve", "slo"]
-
-
-class TestMetrics:
-    def test_counter_and_gauge(self):
-        registry = MetricsRegistry()
-        registry.counter("requests").inc()
-        registry.counter("requests").inc(2.0)
-        gauge = registry.gauge("depth")
-        gauge.set(3.0)
-        gauge.set(1.0)
-        snapshot = registry.as_dict()
-        assert snapshot["counters"]["requests"] == pytest.approx(3.0)
-        assert snapshot["gauges"]["depth"]["high"] == pytest.approx(3.0)
-        assert snapshot["gauges"]["depth"]["value"] == pytest.approx(1.0)
-
-    def test_counter_rejects_negative(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.counter("c").inc(-1.0)
-
-    def test_name_collision_across_types(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.gauge("x")
-
-    def test_registry_merge_unions(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.counter("shared").inc(1.0)
-        right.counter("shared").inc(2.0)
-        right.counter("only_right").inc(5.0)
-        merged = left.merge(right).as_dict()
-        assert merged["counters"]["shared"] == pytest.approx(3.0)
-        assert merged["counters"]["only_right"] == pytest.approx(5.0)
 
 
 def _synthetic_records():
@@ -188,15 +151,6 @@ class TestCriticalPath:
         assert entry.occurrences == 3
         assert entry.seconds == pytest.approx(3.0)
 
-    def test_merge_composes_sequentially(self):
-        report = analyze_critical_path(_synthetic_records())
-        merged = report.merge(report)
-        assert merged.makespan == pytest.approx(14.0)
-        top = merged.top(1)[0]
-        assert top.label == "allreduce"
-        assert top.occurrences == 2
-        assert top.seconds == pytest.approx(10.0)
-
     def test_empty_records(self):
         report = analyze_critical_path([], makespan=1.0)
         assert report.entries == []
@@ -272,22 +226,6 @@ class TestChromeTrace:
             validate_chrome_trace(
                 {"traceEvents": [{"ph": "X", "name": "x", "pid": 1,
                                   "tid": 1, "ts": -1.0, "dur": 0.0}]})
-
-
-class TestStatsHelpers:
-    def test_merge_numeric_dicts(self):
-        merged = merge_numeric_dicts(
-            {"a": 1, "nested": {"x": 2.0}, "label": "keep"},
-            {"a": 3, "nested": {"x": 1.5, "y": 1}, "label": "drop"})
-        assert merged["a"] == 4
-        assert merged["nested"] == {"x": 3.5, "y": 1}
-        assert merged["label"] == "keep"
-
-    def test_merge_all(self):
-        reports = [analyze_critical_path(_synthetic_records())
-                   for _ in range(3)]
-        combined = merge_all(reports)
-        assert combined.makespan == pytest.approx(21.0)
 
 
 class TestProfileDeterminism:

@@ -1,4 +1,4 @@
-"""Tests for repro.telemetry.timeseries (EWMA, windows, histogram)."""
+"""Tests for repro.telemetry.timeseries (EWMA, histogram)."""
 
 import json
 import math
@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.timeseries import (
-    Ewma,
-    FixedWindowAggregator,
-    Histogram,
-    RollingWindow,
-)
+from repro.telemetry.timeseries import Ewma, Histogram
 
 settings.register_profile("repro_ts", deadline=None, max_examples=40)
 settings.load_profile("repro_ts")
@@ -48,57 +43,6 @@ class TestEwma:
         for sample in samples:
             ewma.update(sample)
             assert min(samples) <= ewma.value <= max(samples)
-
-
-class TestRollingWindow:
-    def test_eviction_and_stats(self):
-        window = RollingWindow(capacity=3)
-        for sample in (1.0, 2.0, 3.0, 4.0):
-            window.push(sample)
-        assert window.values == [2.0, 3.0, 4.0]
-        assert len(window) == 3
-        assert window.mean == pytest.approx(3.0)
-        assert window.min == 2.0
-        assert window.max == 4.0
-
-    def test_empty(self):
-        window = RollingWindow(capacity=2)
-        assert window.mean == 0.0
-        assert window.min == float("inf")
-        assert window.max == float("-inf")
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            RollingWindow(capacity=0)
-
-
-class TestFixedWindowAggregator:
-    def test_windows_aggregate(self):
-        agg = FixedWindowAggregator(window_s=1.0)
-        agg.add(0.1, 2.0)
-        agg.add(0.9, 4.0)
-        agg.add(2.5, 10.0)
-        windows = agg.windows()
-        assert len(windows) == 2  # window 1 is empty and skipped
-        first, second = windows
-        assert first.start == 0.0 and first.end == 1.0
-        assert first.count == 2
-        assert first.mean == pytest.approx(3.0)
-        assert first.low == 2.0 and first.high == 4.0
-        assert second.start == 2.0
-        assert second.count == 1
-
-    def test_rejects_negative_time(self):
-        agg = FixedWindowAggregator(window_s=0.5)
-        with pytest.raises(ValueError):
-            agg.add(-0.1, 1.0)
-
-    def test_as_dict(self):
-        agg = FixedWindowAggregator(window_s=1.0)
-        agg.add(0.5, 3.0)
-        payload = agg.windows()[0].as_dict()
-        assert payload["count"] == 1
-        assert payload["mean"] == pytest.approx(3.0)
 
 
 class TestHistogram:
@@ -154,21 +98,6 @@ class TestHistogram:
             Histogram(min_value=0.0)
         with pytest.raises(ValueError):
             Histogram().quantile(1.5)
-
-    def test_merge_requires_same_layout(self):
-        with pytest.raises(ValueError):
-            Histogram(growth=1.02).merge(Histogram(growth=1.05))
-
-    def test_merge_equals_combined_stream(self):
-        left = Histogram.from_values([1.0, 2.0, 3.0])
-        right = Histogram.from_values([10.0, 20.0])
-        combined = Histogram.from_values([1.0, 2.0, 3.0, 10.0, 20.0])
-        merged = left.merge(right)
-        assert merged.count == combined.count
-        assert merged.total == pytest.approx(combined.total)
-        for q in (0.1, 0.5, 0.9, 0.99):
-            assert merged.quantile(q) == pytest.approx(
-                combined.quantile(q))
 
     def test_as_dict_roundtrip_and_json_safe(self):
         hist = Histogram.from_values([0.001, 0.5, 2.0, 2.0, 100.0])

@@ -22,7 +22,6 @@ import repro.nn.interactions
 import repro.nn.loss
 from repro.data.labeled import LabeledBatchIterator
 from repro.data.spec import DatasetSpec, FieldSpec
-from repro.distributed.strategies import DataParallelTrainer
 from repro.embedding.table import scatter_add_rows
 from repro.nn.interactions import dot_interaction_grad, fm_interaction_grad
 from repro.nn.layers import DenseEmbedding, relu_grad, sigmoid
@@ -189,27 +188,6 @@ def test_training_trajectory_bitwise(variant, opt_name, reference_path):
     _assert_same_state(network, reference, optimizer, reference_opt)
 
 
-@pytest.mark.parametrize("variant", ("dlrm", "dien"))
-def test_data_parallel_overlapping_pairs_bitwise(variant, reference_path):
-    """Each worker shard appends its own (rows, grads) pair per table;
-    the pairs overlap in rows, so updates fold across pairs in order."""
-    install, restore = reference_path
-    dataset = _dataset()
-    batches = _batches(dataset, 3, size=64)
-
-    trainer = DataParallelTrainer(_network(dataset, variant), workers=4)
-    losses = [trainer.train_step(batch) for batch in batches]
-
-    install()
-    reference = DataParallelTrainer(_network(dataset, variant), workers=4)
-    expected = [reference.train_step(batch) for batch in batches]
-    restore()
-
-    assert losses == expected
-    _assert_same_state(trainer.network, reference.network,
-                       trainer.optimizer, reference.optimizer)
-
-
 # ---------------------------------------------------------------------------
 # Sparse Adagrad update
 # ---------------------------------------------------------------------------
@@ -254,6 +232,8 @@ def test_sparse_update_empty_rows():
             st.lists(st.floats(-1e3, 1e3, allow_nan=False, width=64),
                      min_size=3 * len(rows), max_size=3 * len(rows)))),
     min_size=1, max_size=4))
+
+
 def test_sparse_update_duplicated_rows_property(raw_pairs):
     pairs = [(np.array(rows, dtype=np.int64),
               np.array(grads, dtype=np.float64).reshape(len(rows), 3))
@@ -339,6 +319,8 @@ def test_sigmoid_float32_returns_float64_bitwise():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
                 min_size=1, max_size=50))
+
+
 def test_sigmoid_property_bitwise(values):
     x = np.array(values)
     assert _bits(sigmoid(x)) == _bits(reference_sigmoid(x))
