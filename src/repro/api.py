@@ -42,7 +42,8 @@ from dataclasses import dataclass, field, replace
 
 from repro.baselines import framework_by_name
 from repro.config_base import (ConfigBase, codec, dict_codec,
-                               require_choice, require_positive)
+                               require_choice, require_positive,
+                               require_share)
 from repro.core import PicassoConfig, PicassoExecutor
 from repro.core.executor import RunReport, per_iteration_seconds
 from repro.data import ALL_DATASETS
@@ -53,6 +54,7 @@ from repro.hardware.topology import ClusterSpec
 from repro.memo import Memo
 from repro.models import MODEL_BUILDERS
 from repro.models.base import ModelSpec
+from repro.nn.network import VARIANTS
 from repro.online.loop import StreamReport, simulate_stream
 from repro.prefetch import PrefetchConfig
 from repro.replay import WAIT_MODELS
@@ -313,12 +315,11 @@ def run_manifest(config: RunConfig, report_name: str = "",
 class ServeConfig(ConfigBase):
     """A declarative serving request — :class:`RunConfig`'s mirror.
 
-    Field for field the knobs of
-    :func:`~repro.serving.server.simulate_serving`, plus the
-    fault-tolerance pair (``replicas`` + ``fault_plan``): crash events
-    in the plan take replicas down over their windows, and
+    What :func:`~repro.serving.server.simulate_serving` runs, including
+    the fault-tolerance pair (``replicas`` + ``fault_plan``): crash
+    events in the plan take replicas down over their windows, and
     :func:`serve` responds with degraded-mode admission tightening
-    instead of an outage.
+    instead of an outage.  Every field is checked at construction.
     """
 
     requests: int = 10_000
@@ -342,9 +343,19 @@ class ServeConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        require_positive(self, "requests", "replicas")
-        require_positive(self, "rate_qps", integer=False)
-        require_choice(self, "cache", CACHE_KINDS)
+        _check_serving_fields(self)
+        require_positive(self, "replicas")
+
+
+def _check_serving_fields(config) -> None:
+    """Checks shared by :class:`ServeConfig` and :class:`StreamConfig`."""
+    require_positive(config, "requests", "max_batch_size",
+                     "micro_batch_rows")
+    require_positive(config, "seed", "hot_rows", "warm_rows", zero=True)
+    require_positive(config, "rate_qps", "slo_s", integer=False)
+    require_positive(config, "max_wait_s", integer=False, zero=True)
+    require_choice(config, "cache", CACHE_KINDS)
+    require_choice(config, "variant", VARIANTS)
 
 
 def serve(config: ServeConfig, tracer=None,
@@ -353,42 +364,47 @@ def serve(config: ServeConfig, tracer=None,
 
     Exactly :func:`run`'s shape on the inference side: every entry
     point (CLI ``serve``, experiments, benches) states *what* to serve
-    as data and this function owns the wiring.  With a fault plan the
-    returned report carries a ``degraded`` summary from the
+    as data and :func:`~repro.serving.server.simulate_serving` owns
+    the wiring.  With a fault plan the returned report carries a
+    ``degraded`` summary from the
     :class:`~repro.faults.degraded.DegradedModeController`.
 
     :param flight: optional :class:`~repro.telemetry.FlightRecorder`;
         batch spans and shed alerts land in its ring.
     """
-    return simulate_serving(
-        num_requests=config.requests,
-        seed=config.seed,
-        rate_qps=config.rate_qps,
-        cache=config.cache,
-        hot_rows=config.hot_rows,
-        warm_rows=config.warm_rows,
-        max_batch_size=config.max_batch_size,
-        max_wait_s=config.max_wait_s,
-        slo_s=config.slo_s,
-        micro_batch_rows=config.micro_batch_rows,
-        variant=config.variant,
-        replicas=config.replicas,
-        fault_plan=config.fault_plan,
-        tracer=tracer,
-        metrics=metrics,
-        flight=flight,
-        prefetch=config.prefetch)
+    return simulate_serving(config, tracer=tracer, metrics=metrics,
+                            flight=flight)
 
 
 @dataclass(frozen=True)
 class StreamConfig(ConfigBase):
     """A declarative continuous-loop request — the third facade leg.
 
-    Field for field the knobs of
-    :func:`~repro.online.loop.simulate_stream`: the serving half reads
-    like a :class:`ServeConfig`, the training half configures the
-    streaming trainer (step cadence, publish interval, concept drift)
-    and the loop half the hot-swap and autoscaling machinery.
+    What :func:`~repro.online.loop.simulate_stream` runs: the serving
+    half reads like a :class:`ServeConfig`, the training half
+    configures the streaming trainer (step cadence, publish interval,
+    concept drift) and the loop half the hot-swap and autoscaling
+    machinery.  Every field is checked at construction.
+
+    :param train_steps: cap on streaming-trainer steps (the trainer
+        also stops advancing past the serving trace's end).
+    :param train_step_s: modeled duration of one trainer step — sets
+        the trainer's clock against the serving trace's.
+    :param load_share: fraction of fetch bandwidth a background
+        snapshot load steals while in flight, in ``[0, 1)``.
+    :param snapshot_dir: where snapshots land; ``None`` uses a
+        temporary directory that is deleted with the run.
+    :param hot_swaps: ``False`` freezes serving on the initial weights
+        (the no-swap baseline the swap-pause acceptance bar compares
+        against).
+    :param shape: optional :class:`~repro.serving.traffic.RateShape`
+        (diurnal / flash-crowd) modulating the arrival rate.
+    :param prefetch: optional :class:`~repro.prefetch.PrefetchConfig`;
+        the streaming trainer buffers upcoming stream batches and
+        trains hot (frequently-hit-row) batches first while cold
+        batches' rows stage, using an
+        :class:`~repro.prefetch.AdaptiveResidency` oracle sized to
+        ``hot_rows``.  ``None`` keeps strict stream order.
     """
 
     requests: int = 4_000
@@ -425,10 +441,20 @@ class StreamConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        require_positive(self, "requests", "train_steps",
-                         "publish_interval")
-        require_positive(self, "rate_qps", integer=False)
-        require_choice(self, "cache", CACHE_KINDS)
+        _check_serving_fields(self)
+        require_positive(self, "train_steps", "train_batch_size",
+                         "publish_interval", "max_chain",
+                         "min_replicas", "max_replicas")
+        require_positive(self, "train_step_s", integer=False)
+        require_positive(self, "drift_ids_per_step", integer=False,
+                         zero=True)
+        require_share(self, "load_share")
+        require_choice(self, "autoscale", (True, False))
+        require_choice(self, "hot_swaps", (True, False))
+        if self.max_replicas < self.min_replicas:
+            raise ValueError(
+                f"max_replicas ({self.max_replicas}) must not be below "
+                f"min_replicas ({self.min_replicas})")
 
 
 def stream(config: StreamConfig, tracer=None,
@@ -444,37 +470,8 @@ def stream(config: StreamConfig, tracer=None,
     :param flight: optional :class:`~repro.telemetry.FlightRecorder`
         shared by the trainer and the swap/shed paths.
     """
-    return simulate_stream(
-        num_requests=config.requests,
-        seed=config.seed,
-        rate_qps=config.rate_qps,
-        shape=config.shape,
-        train_steps=config.train_steps,
-        train_step_s=config.train_step_s,
-        train_batch_size=config.train_batch_size,
-        publish_interval=config.publish_interval,
-        drift_ids_per_step=config.drift_ids_per_step,
-        max_chain=config.max_chain,
-        load_share=config.load_share,
-        snapshot_dir=config.snapshot_dir,
-        cache=config.cache,
-        hot_rows=config.hot_rows,
-        warm_rows=config.warm_rows,
-        max_batch_size=config.max_batch_size,
-        max_wait_s=config.max_wait_s,
-        slo_s=config.slo_s,
-        micro_batch_rows=config.micro_batch_rows,
-        autoscale=config.autoscale,
-        min_replicas=config.min_replicas,
-        max_replicas=config.max_replicas,
-        hot_swaps=config.hot_swaps,
-        variant=config.variant,
-        tracer=tracer,
-        metrics=metrics,
-        flight=flight,
-        provenance=build_manifest(
-            kind="stream", config=config.as_dict()).as_dict(),
-        prefetch=config.prefetch)
+    return simulate_stream(config, tracer=tracer, metrics=metrics,
+                           flight=flight)
 
 
 @dataclass(frozen=True)

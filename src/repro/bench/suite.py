@@ -62,7 +62,6 @@ from repro.embedding.table import EmbeddingTable
 from repro.experiments.fault_recovery import run_fault_recovery
 from repro.faults import FaultPlan
 from repro.serving.metrics import ServingMetrics
-from repro.serving.server import simulate_serving
 from repro.serving.traffic import FlashCrowdShape
 from repro.telemetry import (
     CacheHealthMonitor,
@@ -186,10 +185,10 @@ def bench_serving() -> BenchSnapshot:
     config = dict(num_requests=2_000, seed=0, rate_qps=20_000.0,
                   cache="hbm-dram", slo_ms=20.0)
     metrics_sink = ServingMetrics()
-    report = simulate_serving(
-        num_requests=config["num_requests"], seed=config["seed"],
+    report = serve(ServeConfig(
+        requests=config["num_requests"], seed=config["seed"],
         rate_qps=config["rate_qps"], cache=config["cache"],
-        slo_s=config["slo_ms"] * 1e-3, metrics=metrics_sink)
+        slo_s=config["slo_ms"] * 1e-3), metrics=metrics_sink)
     monitor = SloBurnRateMonitor(slo_ms=config["slo_ms"])
     slo = monitor.analyze(metrics_sink)
     metrics = {

@@ -6,8 +6,9 @@ sweeps, ``as_dict``/``from_dict`` for lossless JSON round-trips — and
 each used to carry its own copy of that boilerplate.  :class:`ConfigBase`
 is the single implementation; subclasses only declare how their
 non-scalar fields serialize via :data:`ConfigBase._FIELD_CODECS`.
-:func:`require_positive` and :func:`require_choice` are the field
-checks their ``__post_init__`` methods share.
+:func:`require_positive`, :func:`require_share` and
+:func:`require_choice` are the field checks their ``__post_init__``
+methods share.
 
 The mixin lives outside :mod:`repro.api` so that :mod:`repro.core`
 (which the facade imports) can rebase :class:`~repro.core.config.
@@ -21,21 +22,34 @@ import numbers
 from dataclasses import fields as dataclass_fields, replace
 
 
-def require_positive(config, *names: str, integer: bool = True) -> None:
+def require_positive(config, *names: str, integer: bool = True,
+                     zero: bool = False) -> None:
     """Raise a ValueError naming the first of ``config``'s ``names``
     fields that is not an integer >= 1 (numpy integers pass; bool,
     floats and strings do not) or, with ``integer=False``, a finite
-    number > 0."""
+    number > 0.  ``zero=True`` also accepts 0 (counts and durations
+    that may be empty)."""
     for name in names:
         value = getattr(config, name)
         if integer:
-            valid = isinstance(value, numbers.Integral) and value >= 1
+            valid = isinstance(value, numbers.Integral)
         else:
-            valid = (isinstance(value, numbers.Real)
-                     and math.isfinite(value) and value > 0)
-        if not valid or isinstance(value, bool):
-            expected = "an integer >= 1" if integer else "finite and > 0"
-            raise ValueError(f"{name} must be {expected}, got {value!r}")
+            valid = isinstance(value, numbers.Real) and math.isfinite(value)
+        if not valid or isinstance(value, bool) \
+                or not (value >= 0 if zero else value > 0):
+            kind = "an integer" if integer else "finite and"
+            low = ">= 0" if zero else (">= 1" if integer else "> 0")
+            raise ValueError(f"{name} must be {kind} {low}, got {value!r}")
+
+
+def require_share(config, *names: str) -> None:
+    """Raise a ValueError naming the first of ``config``'s ``names``
+    fields that is not a number in ``[0, 1)``."""
+    for name in names:
+        value = getattr(config, name)
+        if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                or not 0.0 <= value < 1.0):
+            raise ValueError(f"{name} must be in [0, 1), got {value!r}")
 
 
 def require_choice(config, name: str, choices) -> None:

@@ -15,19 +15,14 @@ equivalent as a seeded, deterministic layer over the existing stack:
   :class:`RecoveryReport`: checkpoint-restore-replay training with
   MTTR, lost-work and goodput accounting.
 * :mod:`~repro.faults.degraded` — :class:`DegradedModeController`:
-  replica loss becomes admission tightening, not an outage; and
-  :class:`CompositeServeController`: several capacity modifiers
-  (crash degradation, hot-swap load windows, autoscaling) stacked
-  behind the one serve-trace ``faults`` slot.
+  replica loss becomes admission tightening, not an outage, through
+  the serve-trace controller slot.
 * :mod:`~repro.faults.monitor` — :class:`FaultToleranceMonitor` and
   :func:`plan_report`: failures and recoveries on the telemetry
   ``alerts`` track.
 """
 
-from repro.faults.degraded import (
-    CompositeServeController,
-    DegradedModeController,
-)
+from repro.faults.degraded import DegradedModeController
 from repro.faults.inject import FaultInjector
 from repro.faults.monitor import (
     FaultToleranceMonitor,
@@ -39,7 +34,6 @@ from repro.faults.resilient import RecoveryReport, ResilientTrainer
 
 __all__ = [
     "FAULT_KINDS",
-    "CompositeServeController",
     "DegradedModeController",
     "FaultEvent",
     "FaultInjector",

@@ -13,15 +13,15 @@ exactly that contract on top of the existing
 * the admission deadline is tightened by ``live / replicas``, shifting
   capacity loss into shed rate instead of SLO violations.
 
-The controller is consumed by
-:func:`~repro.serving.server.serve_trace` through duck-typed hooks
-(``service_factor`` / ``admit`` / ``observe``), keeping
+The controller rides in :func:`~repro.serving.server.serve_trace`'s
+controller slot through two duck-typed hooks (``service_factor`` /
+``admit``; it needs neither optional per-batch hook), keeping
 :mod:`repro.serving` free of any import on :mod:`repro.faults`.
+:func:`~repro.serving.server.simulate_serving` writes its
+``summary()`` onto the report's ``degraded`` field after the run.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 from repro.faults.plan import FaultPlan
 from repro.serving.slo import SloConfig, SloPolicy
@@ -118,69 +118,3 @@ class DegradedModeController:
             "total_batches": self._total_batches,
             "tightened_shed": self._tightened_shed,
         }
-
-
-class CompositeServeController:
-    """Stacks several serve controllers behind the one ``faults`` slot.
-
-    :func:`~repro.serving.server.serve_trace` accepts a single
-    duck-typed controller, but real deployments run several capacity
-    modifiers at once — replica-crash degradation, a hot-swap's load
-    window, an autoscaler's replica count.  The composite presents the
-    same three hooks:
-
-    * ``service_factor`` multiplies across members (capacity effects
-      stack);
-    * ``admit`` threads the batch through each member's ``admit`` in
-      order, each seeing only the survivors of the previous one (a
-      member without the hook is skipped; with no admitting member the
-      plain policy decides);
-    * ``summary`` maps each member's name to its own summary.
-
-    Members are consulted in construction order, so put the tightest
-    admission controller first.
-    """
-
-    def __init__(self, controllers: list):
-        self.controllers = list(controllers)
-
-    def service_factor(self, t: float) -> float:
-        factor = 1.0
-        for controller in self.controllers:
-            hook = getattr(controller, "service_factor", None)
-            if hook is not None:
-                factor *= hook(t)
-        return factor
-
-    def admit(self, policy: SloPolicy, batch, start_s: float,
-              service_estimate_s: float) -> tuple:
-        admitted = list(batch.requests)
-        shed: list = []
-        decided = False
-        current = batch
-        for controller in self.controllers:
-            hook = getattr(controller, "admit", None)
-            if hook is None:
-                continue
-            decided = True
-            admitted, dropped = hook(policy, current, start_s,
-                                     service_estimate_s)
-            shed.extend(dropped)
-            if not admitted:
-                break
-            current = dataclasses.replace(current,
-                                          requests=tuple(admitted))
-        if not decided:
-            return policy.admit(batch, start_s, service_estimate_s)
-        return admitted, shed
-
-    def summary(self) -> dict:
-        report = {}
-        for controller in self.controllers:
-            hook = getattr(controller, "summary", None)
-            if hook is None:
-                continue
-            name = getattr(controller, "name",
-                           type(controller).__name__)
-            report[name] = hook()
-        return report

@@ -25,7 +25,8 @@ from repro.nn.interactions import (
 from repro.nn.layers import Dense, DenseEmbedding, relu, relu_grad, sigmoid
 from repro.nn.loss import bce_loss, bce_loss_grad
 
-_VARIANTS = ("wdl", "dlrm", "deepfm", "din", "dien")
+#: Feature-interaction structures a network can be built with.
+VARIANTS = ("wdl", "dlrm", "deepfm", "din", "dien")
 
 
 class WdlNetwork:
@@ -40,9 +41,9 @@ class WdlNetwork:
     def __init__(self, dataset: DatasetSpec, variant: str = "wdl",
                  embedding_dim: int = 16, vocab_rows: int = 100_000,
                  mlp_layers: tuple = (128, 64), seed: int = 0):
-        if variant not in _VARIANTS:
+        if variant not in VARIANTS:
             raise ValueError(
-                f"unknown variant {variant!r}; expected one of {_VARIANTS}")
+                f"unknown variant {variant!r}; expected one of {VARIANTS}")
         self.dataset = dataset
         self.variant = variant
         self.embedding_dim = embedding_dim

@@ -19,7 +19,9 @@ builds that loop out of the existing PICASSO stack:
 * :mod:`~repro.online.autoscale` — :class:`ReplicaAutoscaler`: SLO
   burn-rate windows drive replica counts, with hysteresis + cooldown.
 * :mod:`~repro.online.loop` — :func:`simulate_stream`: the whole loop
-  on one modeled clock, reported as a :class:`StreamReport`.
+  on one modeled clock, reported as a :class:`StreamReport`; the
+  training, swap and scaling work rides through the serving package's
+  one batch loop as a :class:`StreamController`.
 """
 
 from repro.online.autoscale import ReplicaAutoscaler
@@ -31,7 +33,8 @@ from repro.online.delta import (
     save_delta,
 )
 from repro.online.hotswap import HotSwapServer, SwapRecord, clone_network
-from repro.online.loop import StreamReport, simulate_stream
+from repro.online.loop import StreamController, StreamReport, \
+    simulate_stream
 from repro.online.registry import SnapshotRegistry, SnapshotVersion
 from repro.online.stream import DriftingStream
 from repro.online.streaming import PublishRecord, StreamingTrainer
@@ -44,6 +47,7 @@ __all__ = [
     "ReplicaAutoscaler",
     "SnapshotRegistry",
     "SnapshotVersion",
+    "StreamController",
     "StreamReport",
     "StreamingTrainer",
     "SwapRecord",

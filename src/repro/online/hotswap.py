@@ -23,10 +23,10 @@ state survives every swap (a version bump must not re-warm the cache).
 
 While a background load is in flight the active replica's embedding
 fetches share the PCIe link with the snapshot copy, so service time is
-inflated by ``load_share`` — the swap's degraded mode, shaped like
-:class:`~repro.faults.degraded.DegradedModeController`'s hooks so the
-two compose (see
-:class:`~repro.faults.degraded.CompositeServeController`).
+inflated by ``load_share`` — the swap's degraded mode, exposed as a
+``service_factor`` hook that
+:class:`~repro.online.loop.StreamController` stacks with the
+autoscaler's.
 """
 
 from __future__ import annotations

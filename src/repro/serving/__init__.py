@@ -17,6 +17,7 @@ from repro.serving.metrics import ServingMetrics, ServingReport
 from repro.serving.server import (
     CACHE_KINDS,
     ModelServer,
+    build_serving_stack,
     build_tiers,
     default_serving_dataset,
     serve_trace,
@@ -46,6 +47,7 @@ __all__ = [
     "SloConfig",
     "SloPolicy",
     "TrafficGenerator",
+    "build_serving_stack",
     "build_tiers",
     "default_serving_dataset",
     "plan_micro_batches",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,6 +46,9 @@ from repro.serving.metrics import ServingMetrics, ServingReport
 from repro.serving.slo import SloConfig, SloPolicy
 from repro.serving.traffic import TrafficGenerator
 
+if TYPE_CHECKING:
+    from repro.api import ServeConfig
+
 #: Device-memory row fetch latency (an HBM round trip from an SM);
 #: GpuSpec models only bandwidth, so this constant supplies the fixed
 #: term that the DRAM/SSD tiers take from their MemorySpec/LinkSpec.
@@ -52,6 +56,11 @@ HBM_ACCESS_LATENCY = 3.0e-7
 
 #: Cache hierarchies the server knows how to build from a node spec.
 CACHE_KINDS = ("hbm", "hbm-dram", "dram", "hbm-dram-ssd", "hybrid")
+
+#: Default cache placement cadence (Algorithm 1's warmup/flush
+#: iterations, counted in served batches).
+WARMUP_ITERS = 10
+FLUSH_ITERS = 20
 
 
 def default_serving_dataset(fields: int = 8, vocab: int = 30_000,
@@ -311,14 +320,17 @@ def _deadline_aware_order(sealed: list, prefetcher, server: ModelServer,
 
 def serve_trace(requests: list, server: ModelServer,
                 batcher: MicroBatcher, policy: SloPolicy,
-                tracer=None, metrics=None, faults=None,
+                tracer=None, metrics=None, controller=None,
                 flight=None, prefetcher=None) -> ServingReport:
     """Run a request trace through batcher -> SLO gate -> server.
 
     A single-server queue in modeled time: batch ``i`` starts at
     ``max(seal time, previous completion)``; admission control sheds
     requests that can no longer meet the SLO before capacity is spent
-    on them.  Deterministic for a fixed trace and server state.
+    on them.  Deterministic for a fixed trace and server state.  This
+    is the one per-batch serving loop: plain serving, degraded-mode
+    serving and the continuous train-and-serve stream all run here,
+    differing only in the ``controller`` they pass.
 
     :param tracer: optional :class:`repro.telemetry.Tracer`; every
         admitted batch becomes a modeled-time span on the ``server``
@@ -328,12 +340,18 @@ def serve_trace(requests: list, server: ModelServer,
     :param metrics: optional :class:`ServingMetrics` to populate; pass
         one in to keep the raw per-request events (e.g. for the SLO
         burn-rate monitor) after the report is reduced.
-    :param faults: optional degraded-mode controller (duck-typed, see
-        :class:`~repro.faults.degraded.DegradedModeController`): its
-        ``service_factor(t)`` inflates service time while replicas are
-        down and its ``admit`` hook tightens the deadline, so replica
-        loss surfaces as shed rate, never as an unserved outage.  Its
-        ``summary()`` lands on the report's ``degraded`` field.
+    :param controller: optional duck-typed serve controller
+        (:class:`~repro.faults.degraded.DegradedModeController`,
+        :class:`~repro.online.loop.StreamController`).  Its
+        ``service_factor(t)`` scales modeled service time and its
+        ``admit(policy, batch, start, estimate)`` replaces the plain
+        policy's admission.  Two hooks are optional:
+        ``before_batch(batch, server_free)`` runs before each batch
+        and returns the server's free time (it may push it back, e.g.
+        for a hot-swap flip); ``after_batch(start, shed, admitted,
+        completion)`` sees each batch's outcome (``completion`` is
+        ``None`` when nothing was admitted).  The caller reads the
+        controller's ``summary()`` after the run.
     :param flight: optional :class:`repro.telemetry.FlightRecorder`;
         batch spans and shed alerts land in its ring (a shed triggers
         a dump-on-alert with the last retention window of context).
@@ -343,20 +361,24 @@ def serve_trace(requests: list, server: ModelServer,
         :func:`_deadline_aware_order`) instead of strict seal order.
     """
     metrics = metrics if metrics is not None else ServingMetrics()
+    before_batch = getattr(controller, "before_batch", None)
+    after_batch = getattr(controller, "after_batch", None)
     server_free = 0.0
     sealed = list(enumerate(batcher.form_batches(requests)))
     if prefetcher is None:
         ordered = iter(sealed)
     else:
-        ordered = _deadline_aware_order(
-            [pair for pair in sealed], prefetcher, server, policy,
-            lambda: server_free)
+        ordered = _deadline_aware_order(sealed, prefetcher, server, policy,
+                                        lambda: server_free)
     for index, batch in ordered:
+        if before_batch is not None:
+            server_free = before_batch(batch, server_free)
         start = max(batch.close_s, server_free)
         estimate = server.estimate_service_s(list(batch.requests))
-        if faults is not None:
-            estimate *= faults.service_factor(start)
-            admitted, shed = faults.admit(policy, batch, start, estimate)
+        if controller is not None:
+            estimate *= controller.service_factor(start)
+            admitted, shed = controller.admit(policy, batch, start,
+                                              estimate)
         else:
             admitted, shed = policy.admit(batch, start, estimate)
         for request in shed:
@@ -370,108 +392,122 @@ def serve_trace(requests: list, server: ModelServer,
                 time_s=start, monitor="slo", severity="warning",
                 message=f"{len(shed)} request(s) shed at t={start:.4f}s",
                 value=float(len(shed)), threshold=0.0, name="shed"))
-        if not admitted:
-            continue
-        outcome = server.process(admitted)
-        service_s = outcome.service_s
-        if faults is not None:
-            service_s *= faults.service_factor(start)
-        completion = start + service_s
-        metrics.record_stage("batch_wait", sum(
-            batch.close_s - request.arrival_s for request in admitted))
-        metrics.record_stage("queue", start - batch.close_s)
-        metrics.record_stage("lookup", outcome.fetch_s)
-        metrics.record_stage("dense", outcome.compute_s)
-        for request in admitted:
-            metrics.record_served(request.arrival_s, completion)
-        if tracer is not None:
-            first_arrival = min(request.arrival_s
-                                for request in admitted)
-            tracer.add_span(f"batch{index}/wait", first_arrival,
-                            batch.close_s, category="serving",
-                            track="batcher",
-                            attrs={"size": len(admitted)})
-            tracer.add_span(f"batch{index}", start, completion,
-                            category="serving", track="server",
-                            attrs={"size": len(admitted),
-                                   "micro_batches": outcome.micro_batches,
-                                   "fetch_s": outcome.fetch_s,
-                                   "compute_s": outcome.compute_s})
-        if flight is not None:
-            flight.record_span(f"batch{index}", start, completion,
-                               track="server",
-                               attrs={"size": len(admitted)})
-        server_free = completion
-    report = metrics.report(cache_hit_ratio=server.cache_hit_ratio())
-    if faults is not None:
-        report = dataclasses.replace(report, degraded=faults.summary())
-    return report
+        completion = None
+        if admitted:
+            outcome = server.process(admitted)
+            service_s = outcome.service_s
+            if controller is not None:
+                service_s *= controller.service_factor(start)
+            completion = start + service_s
+            metrics.record_stage("batch_wait", sum(
+                batch.close_s - request.arrival_s for request in admitted))
+            metrics.record_stage("queue", start - batch.close_s)
+            metrics.record_stage("lookup", outcome.fetch_s)
+            metrics.record_stage("dense", outcome.compute_s)
+            for request in admitted:
+                metrics.record_served(request.arrival_s, completion)
+            if tracer is not None:
+                first_arrival = min(request.arrival_s
+                                    for request in admitted)
+                tracer.add_span(f"batch{index}/wait", first_arrival,
+                                batch.close_s, category="serving",
+                                track="batcher",
+                                attrs={"size": len(admitted)})
+                tracer.add_span(
+                    f"batch{index}", start, completion,
+                    category="serving", track="server",
+                    attrs={"size": len(admitted),
+                           "micro_batches": outcome.micro_batches,
+                           "fetch_s": outcome.fetch_s,
+                           "compute_s": outcome.compute_s})
+            if flight is not None:
+                flight.record_span(f"batch{index}", start, completion,
+                                   track="server",
+                                   attrs={"size": len(admitted)})
+            server_free = completion
+        if after_batch is not None:
+            after_batch(start, shed, admitted, completion)
+    return metrics.report(cache_hit_ratio=server.cache_hit_ratio())
 
 
-def simulate_serving(num_requests: int = 10_000, seed: int = 0,
-                     rate_qps: float = 20_000.0,
-                     cache: str = "hbm-dram",
-                     hot_rows: int = 4_000, warm_rows: int = 60_000,
-                     max_batch_size: int = 64, max_wait_s: float = 0.002,
-                     slo_s: float = 0.02,
-                     micro_batch_rows: int = 16,
-                     warmup_iters: int = 10, flush_iters: int = 20,
-                     node: NodeSpec = GN6E_NODE,
-                     dataset: DatasetSpec | None = None,
-                     variant: str = "wdl",
-                     replicas: int = 1, fault_plan=None,
-                     tracer=None, metrics=None,
-                     flight=None, prefetch=None) -> ServingReport:
-    """End-to-end serving simulation; the facade's entry point.
+def build_serving_stack(config, network: WdlNetwork, shape=None,
+                        warmup_iters: int = WARMUP_ITERS,
+                        flush_iters: int = FLUSH_ITERS) -> tuple:
+    """Table -> cache -> server -> traffic -> batcher -> SLO policy.
 
-    Builds traffic, cache hierarchy (``cache`` in :data:`CACHE_KINDS`),
-    network and SLO policy from one seed and returns the final report.
-    ``tracer`` (a :class:`repro.telemetry.Tracer`) captures the run as
-    modeled-time spans; see :func:`serve_trace`.
+    The one construction of a serving run, shared by
+    :func:`simulate_serving` and
+    :func:`~repro.online.loop.simulate_stream`.  ``config`` is a
+    :class:`~repro.api.ServeConfig` or :class:`~repro.api.StreamConfig`
+    (only their shared serving fields are read); ``network`` is the
+    model the server scores with, over the dataset the traffic is
+    drawn from.  ``shape`` optionally modulates the arrival rate.
 
-    ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan`) marks
-    replica-loss windows across ``replicas`` replicas: the run enters
-    degraded mode (service inflation + admission tightening) instead
-    of dropping traffic on the floor, and the report's ``degraded``
-    field accounts for it.
-
-    ``prefetch`` (a :class:`~repro.prefetch.PrefetchConfig`) turns on
-    deadline-aware hot-first batch ordering: sealed batches whose rows
-    are resident in the fast cache tier may run ahead of colder ones,
-    but never past any deferred batch's SLO deadline.
+    :returns: ``(server, requests, batcher, policy)``.
     """
-    dataset = dataset or default_serving_dataset()
-    network = WdlNetwork(dataset, variant=variant, seed=seed)
-    table = EmbeddingTable(dim=network.embedding_dim, seed=seed)
+    table = EmbeddingTable(dim=network.embedding_dim, seed=config.seed)
     row_bytes = network.embedding_dim * 4
-    if cache == "hybrid":
-        store = HybridHash(table, hot_bytes=hot_rows * row_bytes,
+    if config.cache == "hybrid":
+        store = HybridHash(table, hot_bytes=config.hot_rows * row_bytes,
                            warmup_iters=warmup_iters,
                            flush_iters=flush_iters)
     else:
         store = MultiLevelCache(
-            table, tiers=build_tiers(cache, node, row_bytes,
-                                     hot_rows, warm_rows),
+            table, tiers=build_tiers(config.cache, GN6E_NODE, row_bytes,
+                                     config.hot_rows, config.warm_rows),
             warmup_iters=warmup_iters, flush_iters=flush_iters)
-    server = ModelServer(network, store, node=node,
-                         micro_batch_rows=micro_batch_rows)
-    generator = TrafficGenerator(dataset, rate_qps=rate_qps, seed=seed)
-    requests = generator.generate(num_requests)
-    batcher = MicroBatcher(max_batch_size=max_batch_size,
-                           max_wait_s=max_wait_s)
-    policy = SloPolicy(SloConfig(latency_budget_s=slo_s))
+    server = ModelServer(network, store, node=GN6E_NODE,
+                         micro_batch_rows=config.micro_batch_rows)
+    generator = TrafficGenerator(network.dataset, rate_qps=config.rate_qps,
+                                 seed=config.seed, shape=shape)
+    batcher = MicroBatcher(max_batch_size=config.max_batch_size,
+                           max_wait_s=config.max_wait_s)
+    policy = SloPolicy(SloConfig(latency_budget_s=config.slo_s))
+    return server, generator.generate(config.requests), batcher, policy
+
+
+def simulate_serving(config: ServeConfig, tracer=None, metrics=None,
+                     flight=None, warmup_iters: int = WARMUP_ITERS,
+                     flush_iters: int = FLUSH_ITERS) -> ServingReport:
+    """End-to-end serving simulation of one :class:`~repro.api.ServeConfig`.
+
+    Builds network, cache hierarchy, traffic and SLO policy from the
+    config's seed (see :func:`build_serving_stack`) and returns the
+    final report.  ``tracer`` (a :class:`repro.telemetry.Tracer`)
+    captures the run as modeled-time spans; see :func:`serve_trace`.
+    ``warmup_iters``/``flush_iters`` set the cache's placement cadence.
+
+    A non-empty ``config.fault_plan`` marks replica-loss windows across
+    ``config.replicas`` replicas: the run enters degraded mode (service
+    inflation + admission tightening) instead of dropping traffic on
+    the floor, and the report's ``degraded`` field accounts for it.
+
+    ``config.prefetch`` (a :class:`~repro.prefetch.PrefetchConfig`)
+    turns on deadline-aware hot-first batch ordering: sealed batches
+    whose rows are resident in the fast cache tier may run ahead of
+    colder ones, but never past any deferred batch's SLO deadline.
+    """
+    network = WdlNetwork(default_serving_dataset(), variant=config.variant,
+                         seed=config.seed)
+    server, requests, batcher, policy = build_serving_stack(
+        config, network, warmup_iters=warmup_iters,
+        flush_iters=flush_iters)
     faults = None
-    if fault_plan is not None and len(fault_plan):
+    if config.fault_plan is not None and len(config.fault_plan):
         # Imported lazily: repro.faults depends on repro.serving for
         # the SLO types, so the reverse edge must stay runtime-only.
         from repro.faults.degraded import DegradedModeController
-        faults = DegradedModeController(fault_plan, replicas=replicas)
+        faults = DegradedModeController(config.fault_plan,
+                                        replicas=config.replicas)
     prefetcher = None
-    if prefetch is not None:
+    if config.prefetch is not None:
         from repro.prefetch import LookaheadPrefetcher, resident_from_cache
         prefetcher = LookaheadPrefetcher(
-            prefetch, resident=resident_from_cache(store),
-            row_bytes=row_bytes)
-    return serve_trace(requests, server, batcher, policy, tracer=tracer,
-                       metrics=metrics, faults=faults, flight=flight,
-                       prefetcher=prefetcher)
+            config.prefetch, resident=resident_from_cache(server.cache),
+            row_bytes=network.embedding_dim * 4)
+    report = serve_trace(requests, server, batcher, policy, tracer=tracer,
+                         metrics=metrics, controller=faults, flight=flight,
+                         prefetcher=prefetcher)
+    if faults is not None:
+        report = dataclasses.replace(report, degraded=faults.summary())
+    return report

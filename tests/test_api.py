@@ -306,7 +306,7 @@ class TestServeFacade:
 
         config = ServeConfig(requests=400, seed=3, cache="hbm")
         via_facade = api.serve(config)
-        direct = simulate_serving(num_requests=400, seed=3, cache="hbm")
+        direct = simulate_serving(config)
         assert via_facade.as_dict() == direct.as_dict()
 
 
@@ -326,6 +326,43 @@ class TestFacadeLegValidation:
         with pytest.raises(ValueError, match="rate_qps"):
             leg(rate_qps=rate)
 
+    @pytest.mark.parametrize("leg", [ServeConfig, StreamConfig])
+    @pytest.mark.parametrize("name, value", [
+        # nan slo_s used to run with admission control silently off.
+        ("slo_s", float("nan")), ("slo_s", 0.0), ("slo_s", float("inf")),
+        ("max_wait_s", float("inf")), ("max_wait_s", -0.001),
+        ("max_wait_s", float("nan")),
+        # seed=-1 used to die inside numpy without naming a field.
+        ("seed", -1), ("seed", 1.5),
+        # hot_rows=-5 used to fail as capacity_bytes.
+        ("hot_rows", -5), ("warm_rows", -1),
+        ("variant", "mlp"), ("cache", "tape"),
+    ])
+    def test_bad_serving_field_rejected(self, leg, name, value):
+        with pytest.raises(ValueError, match=name):
+            leg(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("train_step_s", 0.0), ("train_step_s", float("nan")),
+        ("drift_ids_per_step", -1.0), ("drift_ids_per_step", float("inf")),
+        ("load_share", 1.0), ("load_share", -0.1),
+        ("load_share", float("nan")),
+        ("autoscale", "yes"), ("hot_swaps", None),
+    ])
+    def test_bad_stream_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            StreamConfig(**{name: value})
+
+    def test_replica_bounds_ordered(self):
+        with pytest.raises(ValueError, match="max_replicas"):
+            StreamConfig(min_replicas=3, max_replicas=2)
+
+    def test_zero_sized_fields_accepted(self):
+        config = ServeConfig(seed=0, hot_rows=0, warm_rows=0,
+                             max_wait_s=0.0)
+        assert config.hot_rows == 0
+        assert StreamConfig(drift_ids_per_step=0.0, load_share=0.0)
+
     def test_float_stream_train_steps_rejected(self):
         # Used to run silently.
         with pytest.raises(ValueError, match="train_steps"):
@@ -338,8 +375,13 @@ class TestFacadeLegValidation:
 
     @pytest.mark.parametrize("leg, name", [
         (ServeConfig, "replicas"),
+        (ServeConfig, "max_batch_size"),
+        (ServeConfig, "micro_batch_rows"),
         (StreamConfig, "requests"),
         (StreamConfig, "publish_interval"),
+        (StreamConfig, "train_batch_size"),
+        (StreamConfig, "max_chain"),
+        (StreamConfig, "min_replicas"),
         (TuneConfig, "top_k"),
         (TuneConfig, "diversity_cap"),
         (PicassoConfig, "flush_iters"),

@@ -9,7 +9,6 @@ from repro.api import StreamConfig, stream
 from repro.bench.suite import bench_online
 from repro.cli import main
 from repro.data.spec import DatasetSpec, FieldSpec
-from repro.faults import CompositeServeController
 from repro.nn.network import WdlNetwork
 from repro.online import (
     DriftingStream,
@@ -275,31 +274,6 @@ class TestReplicaAutoscaler:
             self._scaler(cooldown_windows=-1)
 
 
-class TestCompositeController:
-    def test_service_factors_multiply(self):
-        class Half:
-            def service_factor(self, t):
-                return 0.5
-
-        class Double:
-            def service_factor(self, t):
-                return 2.0
-
-        composite = CompositeServeController([Half(), Double()])
-        assert composite.service_factor(0.0) == pytest.approx(1.0)
-
-    def test_summary_maps_member_types(self):
-        class Half:
-            def service_factor(self, t):
-                return 0.5
-
-            def summary(self):
-                return {"factor": 0.5}
-
-        composite = CompositeServeController([Half()])
-        assert composite.summary() == {"Half": {"factor": 0.5}}
-
-
 class TestSimulateStream:
     @pytest.fixture(scope="class")
     def swapped(self):
@@ -349,6 +323,28 @@ class TestSimulateStream:
         again = stream(self.config())
         assert json.dumps(swapped.as_dict(), sort_keys=True) \
             == json.dumps(again.as_dict(), sort_keys=True)
+
+
+class TestStreamObservers:
+    def test_traced_stream_has_one_swap_span_per_swap(self):
+        from repro.telemetry import FlightRecorder, Tracer
+
+        tracer, flight = Tracer(), FlightRecorder(capacity=10_000)
+        report = stream(TestSimulateStream.config(), tracer=tracer,
+                        flight=flight)
+        assert report.swaps >= 1
+        swaps = [span for span in tracer.spans
+                 if span.track == "alerts" and span.name.startswith("swap/v")]
+        assert len(swaps) == report.swaps
+        assert swaps[-1].attrs["version"] \
+            == report.controls["HotSwapServer"]["active_version"]
+        recorded = [event for event in flight.events()
+                    if event.kind == "span"
+                    and event.name.startswith("swap/v")]
+        assert len(recorded) == report.swaps
+        batches = [span for span in tracer.spans if span.track == "server"]
+        assert sum(span.attrs["size"] for span in batches) \
+            == report.serving.served
 
 
 class TestStreamConfig:

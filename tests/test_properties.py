@@ -3,8 +3,9 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from repro import api
 from repro.core.packing import pack_by_dimension
 from repro.data.spec import DatasetSpec, FieldSpec
 from repro.data.statistics import coverage_of_top_fraction
@@ -12,6 +13,8 @@ from repro.data.synthetic import BoundedZipf
 from repro.embedding import EmbeddingTable, HybridHash, shard_for_id
 from repro.nn.loss import bce_loss
 from repro.nn.metrics import auc_score
+from repro.nn.network import VARIANTS
+from repro.serving import CACHE_KINDS
 from repro.sim import Engine, Phase, Resource, ResourceKind, SimTask
 
 settings.register_profile("repro", deadline=None, max_examples=40)
@@ -159,3 +162,91 @@ def test_bce_nonnegative(logits, seed):
     labels = (np.random.default_rng(seed).random(array.size)
               > 0.5).astype(float)
     assert bce_loss(array, labels) >= 0.0
+
+
+# -- facade boundary ----------------------------------------------------------
+
+#: Out-of-contract values per kind of config field.
+_BAD_VALUES = {
+    "count": [0, -1, 1.5, True, "7"],
+    "size": [-1, 1.5, "7"],  # counts that may be 0
+    "duration": [0.0, -1.0, float("nan"), float("inf")],
+    "wait": [-1.0, float("nan"), float("inf")],  # may be 0
+    "share": [1.0, -0.1, float("nan")],
+    "choice": ["tape", None],
+}
+#: field -> (small in-contract strategy, kind of field).
+_SERVING_FIELDS = {
+    "requests": (st.integers(1, 200), "count"),
+    "seed": (st.integers(0, 2**32), "size"),
+    "rate_qps": (st.floats(1.0, 1e6), "duration"),
+    "cache": (st.sampled_from(CACHE_KINDS), "choice"),
+    "hot_rows": (st.integers(0, 5_000), "size"),
+    "warm_rows": (st.integers(0, 50_000), "size"),
+    "max_batch_size": (st.integers(1, 128), "count"),
+    "max_wait_s": (st.floats(0.0, 0.01), "wait"),
+    "slo_s": (st.floats(1e-6, 0.05), "duration"),
+    "micro_batch_rows": (st.integers(1, 64), "count"),
+    "variant": (st.sampled_from(VARIANTS), "choice"),
+}
+_SERVE_FIELDS = dict(_SERVING_FIELDS, replicas=(st.integers(1, 4), "count"))
+_STREAM_FIELDS = dict(
+    _SERVING_FIELDS,
+    train_steps=(st.integers(1, 20), "count"),
+    train_step_s=(st.floats(1e-5, 0.01), "duration"),
+    train_batch_size=(st.integers(1, 64), "count"),
+    publish_interval=(st.integers(1, 8), "count"),
+    drift_ids_per_step=(st.floats(0.0, 32.0), "wait"),
+    max_chain=(st.integers(1, 4), "count"),
+    load_share=(st.floats(0.0, 0.99), "share"),
+    autoscale=(st.booleans(), "choice"),
+    min_replicas=(st.integers(1, 2), "count"),
+    max_replicas=(st.integers(2, 4), "count"),
+    hot_swaps=(st.booleans(), "choice"),
+)
+
+
+def _payloads(fields: dict, *sizes: str):
+    """In-contract field subsets that always draw the run-size fields
+    ``sizes`` (whose defaults are large), with at most one field
+    swapped for an out-of-contract value."""
+    strategies = {name: strategy
+                  for name, (strategy, _kind) in fields.items()}
+    valid = st.fixed_dictionaries(
+        {name: strategies.pop(name) for name in sizes},
+        optional=strategies)
+    bad = st.sampled_from(sorted(fields)).flatmap(
+        lambda name: st.tuples(
+            st.just(name), st.sampled_from(_BAD_VALUES[fields[name][1]])))
+    return st.tuples(valid, st.none() | bad).map(
+        lambda drawn: dict(drawn[0], **dict([drawn[1]] if drawn[1] else [])))
+
+
+def _assert_fails_at_boundary_or_finite(leg, payload, execute):
+    """Either a ValueError names one of the drawn fields, or the run
+    reports finite served/shed/p99."""
+    try:
+        serving = execute(leg.from_dict(payload))
+    except ValueError as error:
+        assert any(name in str(error) for name in payload), \
+            f"{error!r} names none of {sorted(payload)}"
+        event("rejected")
+        return
+    event("ran")
+    for value in (serving.served, serving.shed, serving.p99_ms):
+        assert math.isfinite(value)
+
+
+@settings(max_examples=25)
+@given(payload=_payloads(_SERVE_FIELDS, "requests"))
+def test_serve_config_fails_at_boundary_or_reports_finite(payload):
+    _assert_fails_at_boundary_or_finite(api.ServeConfig, payload,
+                                        api.serve)
+
+
+@settings(max_examples=15)
+@given(payload=_payloads(_STREAM_FIELDS, "requests", "train_steps"))
+def test_stream_config_fails_at_boundary_or_reports_finite(payload):
+    _assert_fails_at_boundary_or_finite(
+        api.StreamConfig, payload,
+        lambda config: api.stream(config).serving)

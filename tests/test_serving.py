@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ServeConfig
 from repro.cli import main
 from repro.serving import (
     MicroBatcher,
@@ -316,28 +317,29 @@ class TestModelServer:
         # Fast warmup/flush so placement is live within the short
         # trace; all three hierarchies replay the same requests.
         reports = {
-            kind: simulate_serving(num_requests=800, seed=0, cache=kind,
-                                   rate_qps=60_000, max_wait_s=0.001,
-                                   warmup_iters=2, flush_iters=3)
+            kind: simulate_serving(
+                ServeConfig(requests=800, seed=0, cache=kind,
+                            rate_qps=60_000, max_wait_s=0.001),
+                warmup_iters=2, flush_iters=3)
             for kind in ("hbm", "hbm-dram", "dram")
         }
         assert reports["hbm"].p99_ms < reports["hbm-dram"].p99_ms \
             < reports["dram"].p99_ms
 
     def test_deterministic_given_seed(self):
-        first = simulate_serving(num_requests=500, seed=7)
-        second = simulate_serving(num_requests=500, seed=7)
+        first = simulate_serving(ServeConfig(requests=500, seed=7))
+        second = simulate_serving(ServeConfig(requests=500, seed=7))
         assert first.as_dict() == second.as_dict()
 
     def test_different_seeds_differ(self):
-        first = simulate_serving(num_requests=500, seed=0)
-        second = simulate_serving(num_requests=500, seed=1)
+        first = simulate_serving(ServeConfig(requests=500, seed=0))
+        second = simulate_serving(ServeConfig(requests=500, seed=1))
         assert first.as_dict() != second.as_dict()
 
     def test_overload_sheds_but_meets_slo(self):
-        report = simulate_serving(num_requests=1_000, seed=0,
-                                  cache="dram", rate_qps=300_000,
-                                  slo_s=0.004, max_wait_s=0.0005)
+        report = simulate_serving(ServeConfig(
+            requests=1_000, seed=0, cache="dram", rate_qps=300_000,
+            slo_s=0.004, max_wait_s=0.0005))
         assert report.shed > 0
         assert 0.0 < report.shed_rate < 1.0
         # Served requests still meet the deadline they were admitted
@@ -345,23 +347,24 @@ class TestModelServer:
         assert report.p99_ms <= 4.0 + 1e-6
 
     def test_generous_slo_sheds_nothing(self):
-        report = simulate_serving(num_requests=500, seed=0, slo_s=10.0)
+        report = simulate_serving(ServeConfig(requests=500, seed=0,
+                                              slo_s=10.0))
         assert report.shed == 0
         assert report.served == 500
 
     def test_hybrid_hash_cache_supported(self):
-        report = simulate_serving(num_requests=400, seed=0,
-                                  cache="hybrid")
+        report = simulate_serving(ServeConfig(requests=400, seed=0,
+                                              cache="hybrid"))
         assert report.served + report.shed == 400
         assert 0.0 <= report.cache_hit_ratio <= 1.0
 
     def test_micro_batching_amortizes_launches(self):
         # One slice per request (budget 1) pays launch overhead per
         # request; a whole-batch slice amortizes it.
-        sliced = simulate_serving(num_requests=400, seed=0,
-                                  micro_batch_rows=1)
-        whole = simulate_serving(num_requests=400, seed=0,
-                                 micro_batch_rows=10_000)
+        sliced = simulate_serving(ServeConfig(requests=400, seed=0,
+                                              micro_batch_rows=1))
+        whole = simulate_serving(ServeConfig(requests=400, seed=0,
+                                             micro_batch_rows=10_000))
         assert whole.stage_seconds["dense"] \
             < sliced.stage_seconds["dense"]
 
@@ -387,7 +390,7 @@ class TestModelServer:
 
     def test_rejects_unknown_cache_kind(self):
         with pytest.raises(ValueError):
-            simulate_serving(num_requests=10, cache="l2")
+            simulate_serving(ServeConfig(requests=10, cache="l2"))
 
     def test_build_tiers_ordering(self):
         from repro.hardware import GN6E_NODE
@@ -397,6 +400,34 @@ class TestModelServer:
         latencies = [tier.access_latency for tier in tiers]
         assert latencies == sorted(latencies)
         assert tiers[-1].capacity_bytes == float("inf")
+
+
+class TestServeObservers:
+    def test_traced_serve_has_one_span_per_batch_and_shed(self):
+        from repro.api import serve
+        from repro.telemetry import FlightRecorder, Tracer
+
+        tracer, flight = Tracer(), FlightRecorder(capacity=10_000)
+        report = serve(ServeConfig(requests=1_000, cache="dram",
+                                   rate_qps=300_000, slo_s=0.004,
+                                   max_wait_s=0.0005),
+                       tracer=tracer, flight=flight)
+        assert report.served > 0 and report.shed > 0
+        batches = [span for span in tracer.spans if span.track == "server"]
+        # One span per admitted batch: distinct, non-empty, and their
+        # sizes account for every served request exactly once.
+        assert len({span.name for span in batches}) == len(batches)
+        assert min(span.attrs["size"] for span in batches) >= 1
+        assert sum(span.attrs["size"] for span in batches) == report.served
+        waits = [span for span in tracer.spans if span.track == "batcher"]
+        assert len(waits) == len(batches)
+        sheds = [event for event in tracer.instants if event[1] == "shed"]
+        assert len(sheds) == report.shed
+        recorded = [event for event in flight.events()
+                    if event.kind == "span" and event.track == "server"]
+        assert len(recorded) == len(batches)
+        alerts = [event for event in flight.events() if event.kind == "alert"]
+        assert sum(event.attrs["value"] for event in alerts) == report.shed
 
 
 class TestServeCli:
