@@ -79,6 +79,7 @@ from repro.tuning import (
     ReplayPredictor,
     SearchContext,
     default_space,
+    strategies as tuning_strategies,
     strategy as tuning_strategy,
 )
 
@@ -152,14 +153,6 @@ def _encode_cluster(spec) -> str:
 
 
 def _build_model(model: str, dataset: str, scale: float) -> ModelSpec:
-    if model not in MODEL_BUILDERS:
-        raise ValueError(
-            f"unknown model {model!r}; "
-            f"expected one of {sorted(MODEL_BUILDERS)}")
-    if dataset not in ALL_DATASETS:
-        raise ValueError(
-            f"unknown dataset {dataset!r}; "
-            f"expected one of {list(ALL_DATASETS)}")
     return MODEL_BUILDERS[model](ALL_DATASETS[dataset](scale))
 
 
@@ -172,8 +165,15 @@ _CLUSTERS = Memo("cluster", 1024)
 class RunConfig(ConfigBase):
     """A declarative simulation request (the CLI's flags, as data).
 
-    :param cluster: ``eflops:N`` / ``gn6e:N`` string or a built
+    :param model: model zoo name (``repro list`` shows the choices).
+    :param dataset: dataset name (``repro list`` shows the choices).
+    :param scale: vocabulary scale applied to the dataset, > 0.
+    :param cluster: eflops:N or gn6e:N, or a built
         :class:`ClusterSpec`.
+    :param framework: registered framework name (see
+        :func:`frameworks`).
+    :param batch_size: global samples per iteration.
+    :param iterations: simulated training iterations.
     :param picasso: optimization toggles for the ``PICASSO`` framework;
         ignored by the baselines (``PICASSO(Base)`` always runs with
         everything off).
@@ -192,7 +192,7 @@ class RunConfig(ConfigBase):
     model: str = "W&D"
     dataset: str = "Product-1"
     scale: float = 1.0
-    cluster: object = "eflops:16"
+    cluster: str | ClusterSpec = "eflops:16"
     framework: str = "PICASSO"
     batch_size: int = 20_000
     iterations: int = 3
@@ -209,8 +209,12 @@ class RunConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
+        require_choice(self, "model", tuple(MODEL_BUILDERS))
+        require_choice(self, "dataset", tuple(ALL_DATASETS))
+        require_choice(self, "framework", frameworks())
         require_positive(self, "scale", integer=False)
         require_positive(self, "batch_size", "iterations")
+        self.resolved_cluster()
         micro = self.picasso.micro_batches if self.picasso else None
         if micro is not None and micro > self.batch_size:
             raise ValueError(
@@ -229,10 +233,7 @@ class RunConfig(ConfigBase):
         Model and dataset specs are immutable and their construction is
         deterministic, so results are memoized process-wide — sweeps
         and benchmark loops re-requesting the same workload share one
-        spec.
-
-        Raises :class:`KeyError`-flavoured :class:`ValueError` for
-        unknown model or dataset names, listing the valid choices.
+        spec.  Construction already checked both names.
         """
         key = (self.model, self.dataset, self.scale)
         return _MODELS.get(key, _build_model, *key)
@@ -320,6 +321,10 @@ class ServeConfig(ConfigBase):
     events in the plan take replicas down over their windows, and
     :func:`serve` responds with degraded-mode admission tightening
     instead of an outage.  Every field is checked at construction.
+
+    :param rate_qps: mean arrival rate in requests/second.
+    :param micro_batch_rows: Eq. 2 activation budget in requests.
+    :param replicas: model replicas behind the front-end.
     """
 
     requests: int = 10_000
@@ -386,10 +391,14 @@ class StreamConfig(ConfigBase):
     concept drift) and the loop half the hot-swap and autoscaling
     machinery.  Every field is checked at construction.
 
+    :param rate_qps: mean arrival rate in requests/second.
     :param train_steps: cap on streaming-trainer steps (the trainer
         also stops advancing past the serving trace's end).
     :param train_step_s: modeled duration of one trainer step — sets
         the trainer's clock against the serving trace's.
+    :param publish_interval: trainer steps between snapshot publishes.
+    :param drift_ids_per_step: hot-ID window rotation per step.
+    :param max_chain: deltas per full base before compaction.
     :param load_share: fraction of fetch bandwidth a background
         snapshot load steals while in flight, in ``[0, 1)``.
     :param snapshot_dir: where snapshots land; ``None`` uses a
@@ -519,8 +528,7 @@ class TuneConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        if not self.strategy:
-            raise ValueError("strategy must be non-empty")
+        require_choice(self, "strategy", tuning_strategies())
         require_positive(self, "top_k", "diversity_cap")
         require_choice(self, "wait_model", WAIT_MODELS)
         if not 0.0 < self.shrink_credit <= 1.0:

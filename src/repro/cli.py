@@ -33,16 +33,19 @@ Commands:
   price seeded traffic under hash vs planned ownership, and
   optionally write the lossless plan JSON.
 
-Workload commands are thin wrappers over the :mod:`repro.api` facade:
-flags build a :class:`~repro.api.RunConfig`, :func:`repro.api.run`
-executes it.
+Workload commands are thin wrappers over the :mod:`repro.api` facade.
+Their flags are generated from the config dataclasses' fields
+(:func:`add_config_flags`), and the config is built while parsing, so
+a value the config rejects is a usage error naming the field.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -69,9 +72,10 @@ from repro.embedding.placement import (
 from repro.experiments import runner as experiment_runner
 from repro.experiments.common import format_table, mini_criteo
 from repro.models import MODEL_BUILDERS
+from repro.nn.network import VARIANTS
 from repro.prefetch import PrefetchConfig
-from repro.replay import WAIT_MODELS, CostHooks, TraceReplayer
-from repro.serving import CACHE_KINDS, DiurnalShape, FlashCrowdShape
+from repro.replay import CostHooks, TraceReplayer
+from repro.serving import DiurnalShape, FlashCrowdShape
 from repro.sim import FrozenTrace
 from repro.sim.export import ascii_gantt
 from repro.telemetry import (
@@ -84,64 +88,91 @@ from repro.telemetry import (
     write_chrome_trace,
 )
 from repro.training import train_and_evaluate
-from repro.tuning import strategies as tuning_strategies
 
 
-def _cluster(spec: str):
-    """argparse type adapter for ``eflops:16`` / ``gn6e:1`` specs."""
+#: Config field annotations (read as strings: every config module uses
+#: postponed annotations) that :func:`add_config_flags` turns into flags.
+_SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
+
+#: Fields the commands set, never flags: ``profile``/``replay``/``tune``
+#: force ``record_tasks`` on and the others never read task records.
+_COMMAND_SET = frozenset({"record_tasks"})
+
+
+def _param_help(cls) -> dict:
+    """The first sentence of each ``:param name:`` entry in ``cls``'s
+    docstring, with its reST markup dropped: argparse help text."""
+    doc = " ".join((cls.__doc__ or "").split())
+    helps = {}
+    for name, text in re.findall(r":param (\w+): (.*?)(?= :param |$)", doc):
+        text = re.sub(r":\w+:`~?(?:[\w.]*\.)?([^`]*)`", r"\1", text)
+        sentence = re.split(r"(?<=\.) (?=[A-Z])", text.replace("``", ""))[0]
+        helps[name] = sentence.rstrip(".").replace("%", "%%")
+    return helps
+
+
+def add_config_flags(parser, cls, prefix: str = "",
+                     skip: tuple = ()) -> None:
+    """Add a ``--<prefix><field>`` flag for every scalar field of config
+    dataclass ``cls`` (``int``/``float``/``str``/``bool``, optionally
+    ``| None``) not in ``skip`` or :data:`_COMMAND_SET`, in the field's
+    own unit; a ``bool`` field becomes ``--x/--no-x``.  Unset flags stay
+    out of the namespace, so only the config declares defaults;
+    :func:`_given` collects the set ones."""
+    helps = _param_help(cls)
+    for spec in dataclasses.fields(cls):
+        kind = _SCALARS.get(str(spec.type).split(" | ")[0])
+        if kind is None or spec.name in _COMMAND_SET or spec.name in skip:
+            continue
+        options = ({"action": argparse.BooleanOptionalAction}
+                   if kind is bool
+                   else {"type": kind, "metavar": spec.name.upper()})
+        parser.add_argument(
+            "--" + (prefix + spec.name).replace("_", "-"),
+            dest=f"{cls.__name__}.{spec.name}", default=argparse.SUPPRESS,
+            help=helps.get(spec.name), **options)
+
+
+def _given(args, cls) -> dict:
+    """Pop the flags :func:`add_config_flags` added for ``cls`` that
+    were set, keyed by field name."""
+    prefix = cls.__name__ + "."
+    return {key[len(prefix):]: vars(args).pop(key)
+            for key in list(vars(args)) if key.startswith(prefix)}
+
+
+def _from_flags(cls, args, **nested):
+    """``cls.from_dict`` over its generated flags and the
+    ``--prefetch-*`` group: ``prefetch`` stays ``None`` (off) unless
+    one of those flags was given."""
+    return cls.from_dict({**_given(args, cls),
+                          "prefetch": _given(args, PrefetchConfig) or None,
+                          **nested})
+
+
+class _Parser(argparse.ArgumentParser):
+    """Builds the subcommand's configs inside ``parse_args`` through its
+    ``build`` default, so a value a config rejects is a usage error
+    (exit 2) with the config's own message naming the field."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        build = vars(namespace).pop("build", None)
+        if build is not None:
+            try:
+                vars(namespace).update(build(namespace))
+            except ValueError as error:
+                self.error(str(error))
+        return namespace, extras
+
+
+def _facade(call, *args, **kwargs):
+    """Call into the facade, turning an error raised while running (the
+    configs were already checked at parse time) into a CLI exit."""
     try:
-        return api.parse_cluster(spec)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def _prefetch_config(args) -> PrefetchConfig | None:
-    """The optional hot/cold pipeline config from ``--prefetch-*``.
-
-    ``None`` (prefetch off, byte-identical to the pre-pipeline
-    behaviour) unless at least one prefetch flag was given; unset
-    flags fall back to :class:`PrefetchConfig` defaults.
-    """
-    settings = {
-        "policy": getattr(args, "prefetch_policy", None),
-        "lookahead_depth": getattr(args, "prefetch_lookahead", None),
-        "hot_threshold": getattr(args, "prefetch_hot_threshold", None),
-    }
-    inflight_mb = getattr(args, "prefetch_inflight_mb", None)
-    if inflight_mb is not None:
-        settings["max_inflight_bytes"] = inflight_mb * float(1 << 20)
-    settings = {key: value for key, value in settings.items()
-                if value is not None}
-    if not settings:
-        return None
-    try:
-        return PrefetchConfig(**settings)
-    except ValueError as error:
+        return call(*args, **kwargs)
+    except (OSError, ValueError) as error:
         raise SystemExit(str(error))
-
-
-def _run_config(args, **overrides) -> RunConfig:
-    """A :class:`RunConfig` from the shared simulation flags."""
-    settings = {
-        "model": args.model,
-        "dataset": args.dataset,
-        "scale": args.scale,
-        "cluster": args.cluster,
-        "batch_size": args.batch,
-        "iterations": args.iterations,
-        "framework": getattr(args, "framework", "PICASSO"),
-        "prefetch": _prefetch_config(args),
-    }
-    settings.update(overrides)
-    return RunConfig(**settings)
-
-
-def _facade_run(config: RunConfig):
-    """Run via the facade, converting config errors to CLI exits."""
-    try:
-        return api.run(config)
-    except ValueError as error:
-        raise SystemExit(f"{error}; see `list`")
 
 
 def _report_rows(report) -> list:
@@ -167,11 +198,11 @@ def cmd_list(_args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _run_config(args)
-    report = _facade_run(config)
+    config = args.config
+    report = _facade(api.run, config)
     cluster = config.resolved_cluster()
-    print(f"{args.framework} / {report.name.split('/', 1)[-1]} "
-          f"on {args.dataset} ({cluster.name} x{cluster.num_nodes})")
+    print(f"{config.framework} / {report.name.split('/', 1)[-1]} "
+          f"on {config.dataset} ({cluster.name} x{cluster.num_nodes})")
     print(format_table(_report_rows(report), list(_report_rows(report)[0])))
     return 0
 
@@ -186,7 +217,7 @@ def cmd_ablation(args) -> int:
     }
     model = None
     for name, picasso in variants.items():
-        config = _run_config(args, framework="PICASSO", picasso=picasso)
+        config = args.config.with_overrides(picasso=picasso)
         if model is None:
             model = config.build_model()
         report = api.run(config, model=model)
@@ -216,34 +247,24 @@ def cmd_experiment(args) -> int:
     raise SystemExit(f"no experiment matches {args.name!r}; see `list`")
 
 
-def _serve_config(args) -> ServeConfig:
-    """A :class:`ServeConfig` from the ``serve`` flags."""
-    fault_plan = None
-    if args.crash_rate > 0:
-        # Replica crashes over the (expected) span of the trace.
-        fault_plan = FaultPlan.generate(
+def _serve_from_flags(args) -> dict:
+    """The ``serve`` config; ``--crash-rate`` adds a fault plan of
+    replica crashes over the validated trace's expected span."""
+    config = _from_flags(ServeConfig, args)
+    if args.crash_rate:
+        config = config.with_overrides(fault_plan=FaultPlan.generate(
             seed=args.fault_seed,
-            duration_s=args.requests / args.rate,
-            crash_rate=args.crash_rate,
-            workers=args.replicas)
-    return ServeConfig(
-        requests=args.requests, seed=args.seed, rate_qps=args.rate,
-        cache=args.cache, hot_rows=args.hot_rows,
-        warm_rows=args.warm_rows, max_batch_size=args.batch_max,
-        max_wait_s=args.max_wait_ms / 1e3, slo_s=args.slo_ms / 1e3,
-        micro_batch_rows=args.micro_rows, replicas=args.replicas,
-        fault_plan=fault_plan, prefetch=_prefetch_config(args))
+            duration_s=config.requests / config.rate_qps,
+            crash_rate=args.crash_rate, workers=config.replicas))
+    return {"config": config}
 
 
 def cmd_serve(args) -> int:
-    try:
-        config = _serve_config(args)
-    except ValueError as error:
-        raise SystemExit(str(error))
+    config = args.config
     report = api.serve(config)
     print(f"serving {config.requests} requests @ "
           f"{config.rate_qps:,.0f} qps "
-          f"(cache={config.cache}, slo={args.slo_ms}ms, "
+          f"(cache={config.cache}, slo={round(config.slo_s * 1e3, 9)}ms, "
           f"seed={config.seed})")
     print(format_table([report.row()], list(report.row())))
     stages = report.stage_seconds
@@ -275,22 +296,7 @@ def _stream_shape(args):
 
 
 def cmd_stream(args) -> int:
-    try:
-        config = StreamConfig(
-            requests=args.requests, seed=args.seed, rate_qps=args.rate,
-            shape=_stream_shape(args), train_steps=args.train_steps,
-            train_step_s=args.train_step_ms / 1e3,
-            train_batch_size=args.train_batch,
-            publish_interval=args.publish_interval,
-            drift_ids_per_step=args.drift, max_chain=args.max_chain,
-            snapshot_dir=args.snapshot_dir, cache=args.cache,
-            slo_s=args.slo_ms / 1e3,
-            autoscale=not args.no_autoscale,
-            max_replicas=args.max_replicas,
-            hot_swaps=not args.no_swaps,
-            prefetch=_prefetch_config(args))
-    except ValueError as error:
-        raise SystemExit(str(error))
+    config = args.config
     report = api.stream(config)
     print(f"streaming {config.train_steps}-step trainer "
           f"(publish every {config.publish_interval}) against "
@@ -314,21 +320,17 @@ def cmd_stream(args) -> int:
 
 
 def cmd_gantt(args) -> int:
-    report = _facade_run(_run_config(args))
+    report = _facade(api.run, args.config)
     print(ascii_gantt(report.result, width=args.width))
     return 0
 
 
 def cmd_profile(args) -> int:
-    config = _run_config(args, record_tasks=True)
-    try:
-        profiled = api.profile(config, top_k=args.top)
-    except ValueError as error:
-        raise SystemExit(f"{error}; see `list`")
+    profiled = _facade(api.profile, args.config, top_k=args.top)
     validate_chrome_trace(profiled.trace)
     path = write_chrome_trace(args.output, profiled.trace)
     report = profiled.report
-    print(f"{args.framework} / {report.name.split('/', 1)[-1]}: "
+    print(f"{args.config.framework} / {report.name.split('/', 1)[-1]}: "
           f"{report.ips:,.0f} ips, "
           f"{report.seconds_per_iteration * 1e3:.1f} ms/iter, "
           f"{len(report.result.task_records)} tasks")
@@ -366,8 +368,8 @@ def _load_or_record_trace(args) -> FrozenTrace:
             return FrozenTrace.load(args.trace)
         except (OSError, ValueError) as error:
             raise SystemExit(f"cannot load trace {args.trace}: {error}")
-    config = _run_config(args, record_tasks=True)
-    report = _facade_run(config)
+    config = args.config.with_overrides(record_tasks=True)
+    report = _facade(api.run, config)
     return FrozenTrace(records=tuple(report.result.task_records),
                        makespan=report.result.makespan,
                        metadata={"workload": config.as_dict(),
@@ -383,19 +385,16 @@ def cmd_replay(args) -> int:
         path = trace.save(args.save)
         print(f"trace saved to {path} ({len(trace)} tasks)")
     try:
-        hooks = CostHooks(compute=args.compute, memory=args.memory,
-                          communication=args.communication,
-                          launch=args.launch,
-                          wait_model=args.wait_model)
         replayer = TraceReplayer.from_trace(trace)
     except ValueError as error:
         raise SystemExit(str(error))
+    hooks = args.hooks
     base = replayer.replay()
     replayed = replayer.replay(hooks)
     print(f"replayed {len(trace)} tasks under scales "
-          f"compute={args.compute:g} memory={args.memory:g} "
-          f"communication={args.communication:g} "
-          f"launch={args.launch:g} (waits: {args.wait_model})")
+          f"compute={hooks.compute:g} memory={hooks.memory:g} "
+          f"communication={hooks.communication:g} "
+          f"launch={hooks.launch:g} (waits: {hooks.wait_model})")
     print(f"makespan: {base.makespan * 1e3:.3f} ms -> "
           f"{replayed.makespan * 1e3:.3f} ms "
           f"({replayed.makespan_ratio:.3f}x)")
@@ -412,17 +411,12 @@ def cmd_replay(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    base = _run_config(args)
-    try:
-        config = TuneConfig(run=base, strategy=args.strategy,
-                            top_k=args.top_k, trace_path=args.trace,
-                            wait_model=args.wait_model)
-        result = api.tune(config)
-    except ValueError as error:
-        raise SystemExit(str(error))
+    config = args.config
+    result = _facade(api.tune, config)
+    base = config.run
     cluster = base.resolved_cluster()
     print(f"tuning PICASSO/{base.model} on {base.dataset} "
-          f"({cluster.name} x{cluster.num_nodes}) via {args.strategy}: "
+          f"({cluster.name} x{cluster.num_nodes}) via {config.strategy}: "
           f"{result.candidates_evaluated} candidates, "
           f"{len(result.validations)} validated")
     rows = [{
@@ -608,54 +602,34 @@ def cmd_plan_shards(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
-        prog="repro", description="PICASSO reproduction toolkit")
+    parser = _Parser(prog="repro",
+                     description="PICASSO reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list models/datasets/experiments") \
         .set_defaults(func=cmd_list)
 
-    def add_prefetch_args(p):
-        # Mirrors PrefetchConfig field-for-field; leaving all four
-        # unset keeps prefetch off (and output byte-identical).
-        p.add_argument("--prefetch-policy",
-                       help="batch classifier enabling the hot/cold "
-                            "lookahead pipeline (builtins: hotness, "
-                            "fifo; plugins via "
-                            "register_batch_classifier)")
-        p.add_argument("--prefetch-lookahead", type=int,
-                       help="lookahead window depth in batches "
-                            "(1 = no reordering)")
-        p.add_argument("--prefetch-hot-threshold", type=float,
-                       help="fast-tier residency score in [0, 1] at "
-                            "which a batch counts as hot")
-        p.add_argument("--prefetch-inflight-mb", type=float,
-                       help="background staging budget in MiB")
+    def leg(name, func, build, *configs, skip=(), **kwargs):
+        """A subcommand with flags generated from ``configs`` (less
+        ``skip``) and ``PrefetchConfig`` (as ``--prefetch-*``); ``build``
+        maps the parsed flags to the attributes the command reads."""
+        leg_parser = sub.add_parser(name, **kwargs)
+        for cls in configs:
+            add_config_flags(leg_parser, cls, skip=skip)
+        add_config_flags(leg_parser, PrefetchConfig, prefix="prefetch-")
+        leg_parser.set_defaults(func=func, build=build)
+        return leg_parser
 
-    def add_sim_args(p):
-        p.add_argument("--model", default="W&D")
-        p.add_argument("--dataset", default="Product-1")
-        p.add_argument("--scale", type=float, default=1.0)
-        p.add_argument("--cluster", type=_cluster,
-                       default=api.parse_cluster("eflops:16"),
-                       help="eflops:N or gn6e:N")
-        p.add_argument("--batch", type=int, default=20_000)
-        p.add_argument("--iterations", type=int, default=3)
-        add_prefetch_args(p)
+    def run_only(args):
+        return {"config": _from_flags(RunConfig, args)}
 
-    sim = sub.add_parser("simulate", help="simulate one workload")
-    add_sim_args(sim)
-    sim.add_argument("--framework", default="PICASSO",
-                     choices=api.frameworks())
-    sim.set_defaults(func=cmd_simulate)
-
-    ablation = sub.add_parser("ablation", help="Tab. IV toggles")
-    add_sim_args(ablation)
-    ablation.set_defaults(func=cmd_ablation)
+    leg("simulate", cmd_simulate, run_only, RunConfig,
+        help="simulate one workload")
+    leg("ablation", cmd_ablation, run_only, RunConfig,
+        skip=("framework",), help="Tab. IV toggles")
 
     train = sub.add_parser("train", help="real training with AUC")
-    train.add_argument("--variant", default="dlrm",
-                       choices=["wdl", "dlrm", "deepfm", "din", "dien"])
+    train.add_argument("--variant", default="dlrm", choices=VARIANTS)
     train.add_argument("--mode", default="sync",
                        choices=["sync", "async-ps"])
     train.add_argument("--steps", type=int, default=100)
@@ -669,37 +643,20 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", help="substring of the experiment id")
     experiment.set_defaults(func=cmd_experiment)
 
-    serve = sub.add_parser("serve", help="online serving simulation")
-    serve.add_argument("--requests", type=int, default=10_000)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--rate", type=float, default=20_000.0,
-                       help="mean arrival rate in requests/second")
-    serve.add_argument("--cache", default="hbm-dram",
-                       choices=CACHE_KINDS)
-    serve.add_argument("--hot-rows", type=int, default=4_000)
-    serve.add_argument("--warm-rows", type=int, default=60_000)
-    serve.add_argument("--batch-max", type=int, default=64)
-    serve.add_argument("--max-wait-ms", type=float, default=2.0)
-    serve.add_argument("--slo-ms", type=float, default=20.0)
-    serve.add_argument("--micro-rows", type=int, default=16,
-                       help="Eq. 2 activation budget in requests")
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="model replicas behind the front-end")
+    serve = leg("serve", cmd_serve, _serve_from_flags, ServeConfig,
+                help="online serving simulation")
     serve.add_argument("--crash-rate", type=float, default=0.0,
                        help="replica crashes per second (0 = none); "
                             "losses degrade admission, not uptime")
     serve.add_argument("--fault-seed", type=int, default=0,
                        help="seed for the generated fault plan")
-    add_prefetch_args(serve)
-    serve.set_defaults(func=cmd_serve)
 
-    stream = sub.add_parser(
-        "stream",
+    stream = leg(
+        "stream", cmd_stream,
+        lambda args: {"config": _from_flags(StreamConfig, args,
+                                            shape=_stream_shape(args))},
+        StreamConfig,
         help="continuous loop: stream-train, publish deltas, hot-swap")
-    stream.add_argument("--requests", type=int, default=4_000)
-    stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument("--rate", type=float, default=20_000.0,
-                        help="mean arrival rate in requests/second")
     stream.add_argument("--shape", default="none",
                         choices=["none", "diurnal", "flash"],
                         help="rate shape over the trace")
@@ -709,87 +666,39 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--flash-start-s", type=float, default=0.05)
     stream.add_argument("--flash-duration-s", type=float, default=0.05)
     stream.add_argument("--flash-multiplier", type=float, default=3.0)
-    stream.add_argument("--train-steps", type=int, default=400)
-    stream.add_argument("--train-step-ms", type=float, default=1.0,
-                        help="modeled duration of one trainer step")
-    stream.add_argument("--train-batch", type=int, default=256)
-    stream.add_argument("--publish-interval", type=int, default=25,
-                        help="trainer steps between snapshot publishes")
-    stream.add_argument("--drift", type=float, default=8.0,
-                        help="hot-ID window rotation per step")
-    stream.add_argument("--max-chain", type=int, default=8,
-                        help="deltas per full base before compaction")
-    stream.add_argument("--snapshot-dir",
-                        help="keep snapshots here (default: temp dir)")
-    stream.add_argument("--cache", default="hbm-dram",
-                        choices=CACHE_KINDS)
-    stream.add_argument("--slo-ms", type=float, default=20.0)
-    stream.add_argument("--max-replicas", type=int, default=4)
-    stream.add_argument("--no-autoscale", action="store_true")
-    stream.add_argument("--no-swaps", action="store_true",
-                        help="freeze serving on the initial weights "
-                             "(no-swap baseline)")
-    add_prefetch_args(stream)
-    stream.set_defaults(func=cmd_stream)
 
-    gantt = sub.add_parser("gantt", help="ASCII utilization timeline")
-    add_sim_args(gantt)
-    gantt.add_argument("--framework", default="PICASSO",
-                       choices=api.frameworks())
+    gantt = leg("gantt", cmd_gantt, run_only, RunConfig,
+                help="ASCII utilization timeline")
     gantt.add_argument("--width", type=int, default=72)
-    gantt.set_defaults(func=cmd_gantt)
 
-    prof = sub.add_parser(
-        "profile",
-        help="trace one workload: Chrome-trace JSON + critical path")
-    add_sim_args(prof)
-    prof.add_argument("--framework", default="PICASSO",
-                      choices=api.frameworks())
+    prof = leg("profile", cmd_profile, run_only, RunConfig,
+               help="trace one workload: Chrome-trace JSON + critical "
+                    "path")
     prof.add_argument("--output", default="repro_trace.json",
                       help="Chrome-trace JSON destination")
     prof.add_argument("--top", type=int, default=10,
                       help="entries in the critical-path ranking")
-    prof.set_defaults(func=cmd_profile)
 
-    replay = sub.add_parser(
-        "replay",
+    replay = leg(
+        "replay", cmd_replay,
+        lambda args: {"config": _from_flags(RunConfig, args),
+                      "hooks": CostHooks(**_given(args, CostHooks))},
+        RunConfig, CostHooks,
         help="what-if replay of a frozen task trace under "
              "perturbed cost scales")
-    add_sim_args(replay)
     replay.add_argument("--trace",
                         help="replay a saved trace JSON instead of "
                              "recording a fresh run")
     replay.add_argument("--save",
                         help="save the recorded trace JSON here")
-    replay.add_argument("--compute", type=float, default=1.0,
-                        help="duration scale for compute segments")
-    replay.add_argument("--memory", type=float, default=1.0,
-                        help="duration scale for memory segments")
-    replay.add_argument("--communication", type=float, default=1.0,
-                        help="duration scale for communication segments")
-    replay.add_argument("--launch", type=float, default=1.0,
-                        help="duration scale for launch segments")
-    replay.add_argument("--wait-model", default="congestion",
-                        choices=WAIT_MODELS,
-                        help="how queue waits track segment scales")
-    replay.set_defaults(func=cmd_replay)
 
-    tune = sub.add_parser(
-        "tune",
+    leg("tune", cmd_tune,
+        lambda args: {"config": TuneConfig.from_dict(
+            {**_given(args, TuneConfig),
+             "run": _from_flags(RunConfig, args)})},
+        RunConfig, TuneConfig, skip=("framework",),
         help="trace-driven auto-tuning of PICASSO knobs with "
              "real-run validation")
-    add_sim_args(tune)
-    tune.add_argument("--strategy", default="coordinate-descent",
-                      choices=tuning_strategies())
-    tune.add_argument("--top-k", type=int, default=3,
-                      help="distinct top candidates validated with "
-                           "real runs")
-    tune.add_argument("--trace",
-                      help="reuse a saved baseline trace JSON")
-    tune.add_argument("--wait-model", default="congestion",
-                      choices=WAIT_MODELS,
-                      help="how queue waits track segment scales")
-    tune.set_defaults(func=cmd_tune)
 
     bench = sub.add_parser(
         "bench",

@@ -6,8 +6,8 @@ sweeps, ``as_dict``/``from_dict`` for lossless JSON round-trips — and
 each used to carry its own copy of that boilerplate.  :class:`ConfigBase`
 is the single implementation; subclasses only declare how their
 non-scalar fields serialize via :data:`ConfigBase._FIELD_CODECS`.
-:func:`require_positive`, :func:`require_share` and
-:func:`require_choice` are the field checks their ``__post_init__``
+:func:`require_positive`, :func:`require_finite`, :func:`require_share`
+and :func:`require_choice` are the field checks their ``__post_init__``
 methods share.
 
 The mixin lives outside :mod:`repro.api` so that :mod:`repro.core`
@@ -40,6 +40,16 @@ def require_positive(config, *names: str, integer: bool = True,
             kind = "an integer" if integer else "finite and"
             low = ">= 0" if zero else (">= 1" if integer else "> 0")
             raise ValueError(f"{name} must be {kind} {low}, got {value!r}")
+
+
+def require_finite(config, *names: str) -> None:
+    """Raise a ValueError naming the first of ``config``'s ``names``
+    fields that is not a finite number (of either sign)."""
+    for name in names:
+        value = getattr(config, name)
+        if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                or not math.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def require_share(config, *names: str) -> None:

@@ -102,17 +102,15 @@ class PicassoConfig(ConfigBase):
             raise ValueError(
                 f"micro_batches must be >= 1 or None, "
                 f"got {self.micro_batches}")
-        if self.hot_storage_bytes < 0:
-            raise ValueError("hot_storage_bytes must be >= 0")
-        if self.device_memory_budget <= 0:
-            raise ValueError("device_memory_budget must be > 0")
+        require_positive(self, "hot_storage_bytes", integer=False,
+                         zero=True)
+        require_positive(self, "device_memory_budget",
+                         "prefetch_inflight_bytes", integer=False)
         require_positive(self, "flush_iters", "prefetch_lookahead")
         if not 0.0 <= self.prefetch_hot_threshold <= 1.0:
             raise ValueError(
                 f"prefetch_hot_threshold must be in [0, 1], "
                 f"got {self.prefetch_hot_threshold}")
-        if self.prefetch_inflight_bytes <= 0:
-            raise ValueError("prefetch_inflight_bytes must be > 0")
         if not self.prefetch_policy:
             raise ValueError("prefetch_policy must be non-empty")
 

@@ -17,6 +17,7 @@ faulty runs are exactly as reproducible as healthy ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,8 +146,9 @@ class FaultPlan:
              link_capacity_fraction),
         )
         for kind, rate, window, severity in specs:
-            if rate < 0:
-                raise ValueError(f"{kind} rate must be >= 0, got {rate}")
+            if not 0 <= rate < math.inf:
+                raise ValueError(
+                    f"{kind} rate must be finite and >= 0, got {rate}")
             if rate == 0:
                 continue
             t = 0.0

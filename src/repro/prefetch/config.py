@@ -47,10 +47,7 @@ class PrefetchConfig(ConfigBase):
             raise ValueError(
                 f"hot_threshold must be in [0, 1], "
                 f"got {self.hot_threshold}")
-        if self.max_inflight_bytes <= 0:
-            raise ValueError(
-                f"max_inflight_bytes must be > 0, "
-                f"got {self.max_inflight_bytes}")
+        require_positive(self, "max_inflight_bytes", integer=False)
         if not self.policy:
             raise ValueError("policy must be non-empty")
 

@@ -32,8 +32,10 @@ WAIT_MODELS = ("congestion", "scaled", "frozen")
 class CostHooks:
     """Per-class duration scales plus the wait re-derivation policy.
 
-    :param compute / memory / communication / launch: multiplicative
-        duration scales for segments of each resource class.
+    :param compute: duration scale for compute segments.
+    :param memory: duration scale for memory segments.
+    :param communication: duration scale for communication segments.
+    :param launch: duration scale for launch segments.
     :param kind_overrides: ``((kind_value, scale), ...)`` pairs taking
         precedence over the class scale for specific resource kinds.
     :param wait_model: ``"congestion"`` (waits scale by

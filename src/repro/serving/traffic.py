@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config_base import (require_finite, require_positive,
+                               require_share)
 from repro.data.spec import DatasetSpec
 from repro.data.synthetic import FieldSampler, stable_field_hash
 
@@ -70,11 +72,9 @@ class DiurnalShape(RateShape):
     phase_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ValueError(f"period_s must be > 0, got {self.period_s}")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError(
-                f"amplitude must be in [0, 1), got {self.amplitude}")
+        require_positive(self, "period_s", integer=False)
+        require_share(self, "amplitude")
+        require_finite(self, "phase_s")
 
     @property
     def peak_factor(self) -> float:
@@ -103,11 +103,8 @@ class FlashCrowdShape(RateShape):
     multiplier: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ValueError(f"start_s must be >= 0, got {self.start_s}")
-        if self.duration_s <= 0:
-            raise ValueError(
-                f"duration_s must be > 0, got {self.duration_s}")
+        require_positive(self, "start_s", integer=False, zero=True)
+        require_positive(self, "duration_s", "multiplier", integer=False)
         if self.multiplier < 1.0:
             raise ValueError(
                 f"multiplier must be >= 1, got {self.multiplier}")

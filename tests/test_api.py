@@ -95,6 +95,29 @@ class TestRunConfig:
             RunConfig(batch_size=2_000,
                       picasso=PicassoConfig(micro_batches=5_000))
 
+    @pytest.mark.parametrize("leg, name", [
+        (PrefetchConfig, "max_inflight_bytes"),
+        (PicassoConfig, "hot_storage_bytes"),
+        (PicassoConfig, "device_memory_budget"),
+        (PicassoConfig, "prefetch_inflight_bytes"),
+    ])
+    def test_non_finite_byte_budgets_rejected(self, leg, name):
+        # NaN budgets used to run as if unset.
+        for value in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match=name):
+                leg(**{name: value})
+
+    def test_zero_hot_storage_accepted(self):
+        assert PicassoConfig(hot_storage_bytes=0).hot_storage_bytes == 0
+
+    @pytest.mark.parametrize("name, value", [
+        ("model", "BERT"), ("dataset", "ImageNet"),
+        ("framework", "MXNet"), ("cluster", "gn6e:-3"),
+    ])
+    def test_run_config_names_checked_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: value})
+
     def test_numpy_integers_accepted(self):
         config = RunConfig(batch_size=np.int64(512),
                            iterations=np.int32(2),

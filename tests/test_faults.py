@@ -78,6 +78,12 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan.generate(seed=0, duration_s=1.0, crash_rate=-1.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_generate_rejects_non_finite_rate(self, rate):
+        # An infinite rate used to draw zero gaps forever.
+        with pytest.raises(ValueError, match="crash rate"):
+            FaultPlan.generate(seed=0, duration_s=1.0, crash_rate=rate)
+
     def test_periodic_count_tracks_rate(self):
         counts = [len(FaultPlan.periodic(crash_rate=rate, duration_s=50.0))
                   for rate in (0.0, 0.04, 0.1, 0.2)]

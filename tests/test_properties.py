@@ -10,6 +10,7 @@ from repro.core.packing import pack_by_dimension
 from repro.data.spec import DatasetSpec, FieldSpec
 from repro.data.statistics import coverage_of_top_fraction
 from repro.data.synthetic import BoundedZipf
+from repro.models import MODEL_BUILDERS
 from repro.embedding import EmbeddingTable, HybridHash, shard_for_id
 from repro.nn.loss import bce_loss
 from repro.nn.metrics import auc_score
@@ -174,6 +175,24 @@ _BAD_VALUES = {
     "wait": [-1.0, float("nan"), float("inf")],  # may be 0
     "share": [1.0, -0.1, float("nan")],
     "choice": ["tape", None],
+    "cluster": ["eflops:0", "gn6e:-3", "tpu:4"],
+    # Non-finite rate shapes used to hang the arrival sampler.
+    "shape": [{"kind": "diurnal", "period_s": float("nan")},
+              {"kind": "diurnal", "period_s": 0.01,
+               "phase_s": float("inf")},
+              {"kind": "flash", "start_s": float("nan"),
+               "duration_s": 0.01},
+              {"kind": "flash", "start_s": 0.0,
+               "duration_s": float("inf")},
+              {"kind": "flash", "start_s": 0.0, "duration_s": 0.01,
+               "multiplier": float("nan")}],
+    "picasso": [{"micro_batches": 0}, {"interleave_sets": 0},
+                {"micro_batch_scope": "tape"}, {"shard_policy": "tape"},
+                {"hot_storage_bytes": float("nan")},
+                {"device_memory_budget": float("inf")},
+                {"prefetch_inflight_bytes": float("nan")},
+                {"prefetch_hot_threshold": 1.5}, {"flush_iters": 0},
+                {"prefetch_lookahead": 0}],
 }
 #: field -> (small in-contract strategy, kind of field).
 _SERVING_FIELDS = {
@@ -203,7 +222,44 @@ _STREAM_FIELDS = dict(
     min_replicas=(st.integers(1, 2), "count"),
     max_replicas=(st.integers(2, 4), "count"),
     hot_swaps=(st.booleans(), "choice"),
+    shape=(st.none()
+           | st.fixed_dictionaries({
+               "kind": st.just("diurnal"),
+               "period_s": st.floats(1e-3, 1.0),
+               "amplitude": st.floats(0.0, 0.9),
+               "phase_s": st.floats(-1.0, 1.0)})
+           | st.fixed_dictionaries({
+               "kind": st.just("flash"),
+               "start_s": st.floats(0.0, 0.01),
+               "duration_s": st.floats(1e-4, 0.01),
+               "multiplier": st.floats(1.0, 5.0)}), "shape"),
 )
+#: Tiny workloads (a run takes at most ~50 ms) with a nested picasso.
+_RUN_FIELDS = {
+    "model": (st.sampled_from(sorted(MODEL_BUILDERS)), "choice"),
+    "dataset": (st.sampled_from(["Criteo", "Alibaba"]), "choice"),
+    "scale": (st.floats(1e-4, 1e-3), "duration"),
+    "cluster": (st.sampled_from(["eflops:1", "eflops:2", "gn6e:1"]),
+                "cluster"),
+    "framework": (st.sampled_from(api.frameworks()), "choice"),
+    "batch_size": (st.integers(1, 512), "count"),
+    "iterations": (st.integers(1, 2), "count"),
+    "picasso": (st.fixed_dictionaries({}, optional={
+        "enable_packing": st.booleans(),
+        "enable_interleaving": st.booleans(),
+        "enable_caching": st.booleans(),
+        "interleave_sets": st.none() | st.integers(1, 4),
+        "micro_batches": st.none() | st.integers(1, 4),
+        "micro_batch_scope": st.sampled_from(["all", "mlp"]),
+        "hot_storage_bytes": st.floats(0.0, 2.0**31),
+        "device_memory_budget": st.floats(1e9, 2.0**34),
+        "shard_policy": st.sampled_from(["hash", "planned"]),
+        "prefetch_lookahead": st.integers(1, 4),
+        "prefetch_hot_threshold": st.floats(0.0, 1.0),
+        "prefetch_inflight_bytes": st.floats(1.0, 2.0**30),
+        "prefetch_policy": st.sampled_from(["hotness", "fifo"]),
+    }), "picasso"),
+}
 
 
 def _payloads(fields: dict, *sizes: str):
@@ -223,25 +279,32 @@ def _payloads(fields: dict, *sizes: str):
 
 
 def _assert_fails_at_boundary_or_finite(leg, payload, execute):
-    """Either a ValueError names one of the drawn fields, or the run
-    reports finite served/shed/p99."""
+    """Either a ValueError names one of the drawn fields (nested ones
+    included), or the run reports finite served/shed/p99."""
+    names = set(payload).union(*(value for value in payload.values()
+                                 if isinstance(value, dict)))
     try:
-        serving = execute(leg.from_dict(payload))
+        values = execute(leg.from_dict(payload))
     except ValueError as error:
-        assert any(name in str(error) for name in payload), \
-            f"{error!r} names none of {sorted(payload)}"
+        assert any(name in str(error) for name in names), \
+            f"{error!r} names none of {sorted(names)}"
         event("rejected")
         return
     event("ran")
-    for value in (serving.served, serving.shed, serving.p99_ms):
+    for value in values:
         assert math.isfinite(value)
+
+
+def _serving_values(serving) -> tuple:
+    return serving.served, serving.shed, serving.p99_ms
 
 
 @settings(max_examples=25)
 @given(payload=_payloads(_SERVE_FIELDS, "requests"))
 def test_serve_config_fails_at_boundary_or_reports_finite(payload):
-    _assert_fails_at_boundary_or_finite(api.ServeConfig, payload,
-                                        api.serve)
+    _assert_fails_at_boundary_or_finite(
+        api.ServeConfig, payload,
+        lambda config: _serving_values(api.serve(config)))
 
 
 @settings(max_examples=15)
@@ -249,4 +312,18 @@ def test_serve_config_fails_at_boundary_or_reports_finite(payload):
 def test_stream_config_fails_at_boundary_or_reports_finite(payload):
     _assert_fails_at_boundary_or_finite(
         api.StreamConfig, payload,
-        lambda config: api.stream(config).serving)
+        lambda config: _serving_values(api.stream(config).serving))
+
+
+def _positive_ips(config) -> tuple:
+    ips = api.run(config).ips
+    assert ips > 0, ips
+    return (ips,)
+
+
+@settings(max_examples=30)
+@given(payload=_payloads(_RUN_FIELDS, "dataset", "scale", "batch_size",
+                         "iterations"))
+def test_run_config_fails_at_boundary_or_reports_finite(payload):
+    _assert_fails_at_boundary_or_finite(api.RunConfig, payload,
+                                        _positive_ips)

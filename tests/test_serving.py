@@ -112,6 +112,30 @@ class TestRateShapes:
             FlashCrowdShape(start_s=0.0, duration_s=1.0,
                             multiplier=0.5)
 
+    @pytest.mark.parametrize("shape, settings, name", [
+        (DiurnalShape, {"period_s": float("nan")}, "period_s"),
+        (DiurnalShape, {"period_s": float("inf")}, "period_s"),
+        (DiurnalShape, {"period_s": 1.0, "amplitude": float("nan")},
+         "amplitude"),
+        (DiurnalShape, {"period_s": 1.0, "phase_s": float("inf")},
+         "phase_s"),
+        (DiurnalShape, {"period_s": 1.0, "phase_s": float("nan")},
+         "phase_s"),
+        (FlashCrowdShape, {"start_s": float("nan"), "duration_s": 1.0},
+         "start_s"),
+        (FlashCrowdShape, {"start_s": 0.0, "duration_s": float("inf")},
+         "duration_s"),
+        (FlashCrowdShape, {"start_s": 0.0, "duration_s": 1.0,
+                           "multiplier": float("nan")}, "multiplier"),
+        (FlashCrowdShape, {"start_s": 0.0, "duration_s": 1.0,
+                           "multiplier": float("inf")}, "multiplier"),
+    ])
+    def test_non_finite_shape_rejected(self, shape, settings, name):
+        # A NaN peak used to make the thinning sampler reject every
+        # candidate arrival, hanging the run.
+        with pytest.raises(ValueError, match=name):
+            shape(**settings)
+
     def test_shape_round_trip(self):
         for shape in (DiurnalShape(period_s=2.0, amplitude=0.3,
                                    phase_s=0.5),
