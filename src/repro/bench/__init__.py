@@ -4,7 +4,8 @@
 baselines and gates candidates against them: :mod:`~repro.bench.suite`
 defines the deterministic CI-sized workloads,
 :mod:`~repro.bench.snapshot` the byte-stable snapshot format and the
-per-metric tolerance comparison the CLI exits non-zero on.
+one per-metric tolerance comparison that ``bench compare`` exits
+non-zero on and ``diff --bench`` ranks.
 """
 
 from repro.bench.snapshot import (
@@ -17,6 +18,7 @@ from repro.bench.snapshot import (
     compare_snapshots,
     config_fingerprint,
     load_snapshot,
+    pair_snapshots,
     snapshot_filename,
     write_snapshot,
 )
@@ -33,6 +35,7 @@ __all__ = [
     "compare_snapshots",
     "config_fingerprint",
     "load_snapshot",
+    "pair_snapshots",
     "run_benches",
     "snapshot_filename",
     "write_snapshot",

@@ -6,8 +6,11 @@ a ``BENCH_<name>.json`` file whose bytes are a pure function of the
 run (sorted keys, fixed separators, no timestamps).  CI commits the
 snapshots as baselines; :func:`compare_snapshots` diffs a candidate
 against its baseline metric by metric, each with its own relative
-tolerance, and the resulting :class:`GateReport` is what the
-``repro bench`` CLI renders and exits non-zero on.
+tolerance, and the resulting :class:`GateReport` (gates ranked by how
+far past their tolerance they moved) is the one report both ``repro
+bench compare`` (which exits non-zero on it) and ``repro diff
+--bench`` print; :func:`pair_snapshots` pairs the two directories
+they read.
 
 The config fingerprint guards against silent workload drift: a gate
 only means something if baseline and candidate measured the same
@@ -17,10 +20,12 @@ producing an apples-to-oranges "pass".
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
+
+from repro.telemetry.provenance import config_fingerprint
 
 #: Bump when the snapshot layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -33,12 +38,6 @@ def canonical_json(payload: dict) -> str:
     """Deterministic JSON: sorted keys, fixed separators, newline EOF."""
     return json.dumps(payload, sort_keys=True, indent=1,
                       separators=(",", ": ")) + "\n"
-
-
-def config_fingerprint(config: dict) -> str:
-    """Short stable hash of a config dict (workload identity)."""
-    compact = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(compact.encode("utf-8")).hexdigest()[:16]
 
 
 def snapshot_filename(name: str) -> str:
@@ -127,9 +126,43 @@ def load_snapshot(path: str) -> BenchSnapshot:
     return BenchSnapshot.from_dict(payload)
 
 
+def pair_snapshots(base_dir: str, candidate_dir: str,
+                   names=None) -> list:
+    """Pair ``BENCH_<name>.json`` files across two directories.
+
+    Returns ``[(name, baseline path, candidate path)]`` sorted by name,
+    over ``names`` (default: every snapshot found on either side); a
+    path is ``None`` where its directory has no such file.
+    """
+    if names is None:
+        names = {entry[len("BENCH_"):-len(".json")]
+                 for directory in (base_dir, candidate_dir)
+                 if os.path.isdir(directory)
+                 for entry in os.listdir(directory)
+                 if entry.startswith("BENCH_") and entry.endswith(".json")}
+    pairs = []
+    for name in sorted(names):
+        paths = [os.path.join(directory, snapshot_filename(name))
+                 for directory in (base_dir, candidate_dir)]
+        pairs.append((name, *(path if os.path.exists(path) else None
+                              for path in paths)))
+    return pairs
+
+
+def _finite_or_none(value: float):
+    """NaN and inf sentinels as ``None``, so payloads stay strict JSON."""
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class MetricGate:
-    """One metric's baseline-vs-candidate verdict."""
+    """One metric's baseline-vs-candidate verdict.
+
+    ``severity`` is the distance past the gate: ``|rel_delta| /
+    tolerance``, so a 2% move on a 0.5% tolerance outranks a 20% move
+    on a 50% one.  A ``missing`` metric, or a moved zero-tolerance one,
+    scores ``inf``; a ``new`` one scores 0.
+    """
 
     metric: str
     baseline: float | None
@@ -137,6 +170,7 @@ class MetricGate:
     rel_delta: float
     tolerance: float
     status: str  # "ok" | "fail" | "new" | "missing"
+    severity: float
 
     @property
     def failed(self) -> bool:
@@ -147,19 +181,23 @@ class MetricGate:
             "metric": self.metric,
             "baseline": self.baseline,
             "current": self.current,
-            "rel_delta": self.rel_delta,
+            "rel_delta": _finite_or_none(self.rel_delta),
             "tolerance": self.tolerance,
             "status": self.status,
+            "severity": _finite_or_none(self.severity),
         }
 
 
 @dataclass(frozen=True)
 class GateReport:
-    """Per-metric comparison of one benchmark against its baseline."""
+    """Per-metric comparison of one benchmark against its baseline,
+    gates ranked most severe first, with both sides' provenance."""
 
     name: str
     gates: tuple
     fingerprint_match: bool
+    base_provenance: dict = field(default_factory=dict)
+    candidate_provenance: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -176,29 +214,41 @@ class GateReport:
             "passed": self.passed,
             "fingerprint_match": self.fingerprint_match,
             "gates": [gate.as_dict() for gate in self.gates],
+            "base_provenance": dict(self.base_provenance),
+            "candidate_provenance": dict(self.candidate_provenance),
         }
 
-    def format(self) -> str:
-        """Readable per-metric report (what the CLI prints)."""
+    def format(self, k: int | None = None) -> str:
+        """The ranked per-metric table; ``k`` keeps the top ``k`` rows."""
         lines = [f"bench {self.name}: "
-                 f"{'PASS' if self.passed else 'FAIL'}"]
+                 f"{'PASS' if self.passed else 'FAIL'} "
+                 f"({len(self.failures)} metric(s) over tolerance)"]
         if not self.fingerprint_match:
             lines.append("  config fingerprint mismatch: baseline and "
                          "candidate ran different workloads")
+        for side, prov in (("base", self.base_provenance),
+                           ("candidate", self.candidate_provenance)):
+            if prov:
+                lines.append(
+                    f"  {side}: git {prov.get('git', '?')} config "
+                    f"{prov.get('config_fingerprint', '?')}")
         header = (f"  {'metric':<28} {'baseline':>14} {'current':>14} "
-                  f"{'delta':>9} {'tol':>7}  status")
+                  f"{'delta':>9} {'tol':>7} {'sev':>7}  status")
         lines.append(header)
         lines.append("  " + "-" * (len(header) - 2))
-        for gate in self.gates:
+        for gate in self.gates[:k]:
             baseline = ("-" if gate.baseline is None
                         else f"{gate.baseline:.6g}")
             current = ("-" if gate.current is None
                        else f"{gate.current:.6g}")
             delta = ("-" if gate.rel_delta != gate.rel_delta  # NaN
                      else f"{gate.rel_delta:+.2%}")
+            severity = ("inf" if gate.severity == math.inf
+                        else f"{gate.severity:.1f}x")
             lines.append(
                 f"  {gate.metric:<28} {baseline:>14} {current:>14} "
-                f"{delta:>9} {gate.tolerance:>6.1%}  {gate.status}")
+                f"{delta:>9} {gate.tolerance:>6.1%} {severity:>7}  "
+                f"{gate.status}")
         return "\n".join(lines)
 
 
@@ -210,39 +260,43 @@ def _relative_delta(baseline: float, current: float) -> float:
     return (current - baseline) / denominator
 
 
+def _gate(metric: str, baseline: BenchSnapshot,
+          candidate: BenchSnapshot) -> MetricGate:
+    tolerance = baseline.tolerance_for(metric)
+    if metric not in candidate.metrics:
+        return MetricGate(metric, float(baseline.metrics[metric]), None,
+                          math.nan, tolerance, "missing", math.inf)
+    current = float(candidate.metrics[metric])
+    if metric not in baseline.metrics:
+        return MetricGate(metric, None, current, math.nan, tolerance,
+                          "new", 0.0)
+    base_value = float(baseline.metrics[metric])
+    delta = _relative_delta(base_value, current)
+    if tolerance > 0:
+        severity = abs(delta) / tolerance
+    else:
+        severity = math.inf if delta != 0.0 else 0.0
+    status = "ok" if abs(delta) <= tolerance else "fail"
+    return MetricGate(metric, base_value, current, delta, tolerance,
+                      status, severity)
+
+
 def compare_snapshots(baseline: BenchSnapshot,
                       candidate: BenchSnapshot) -> GateReport:
     """Gate ``candidate`` against ``baseline``, metric by metric.
 
     Baseline metrics missing from the candidate fail (``missing``);
     candidate metrics absent from the baseline are reported as ``new``
-    without failing (the baseline update will absorb them).
+    without failing (the baseline update will absorb them).  Gates are
+    ranked by severity, then metric name.
     """
-    gates = []
-    for metric in sorted(baseline.metrics):
-        tolerance = baseline.tolerance_for(metric)
-        base_value = float(baseline.metrics[metric])
-        if metric not in candidate.metrics:
-            gates.append(MetricGate(
-                metric=metric, baseline=base_value, current=None,
-                rel_delta=float("nan"), tolerance=tolerance,
-                status="missing"))
-            continue
-        current = float(candidate.metrics[metric])
-        delta = _relative_delta(base_value, current)
-        status = "ok" if abs(delta) <= tolerance else "fail"
-        gates.append(MetricGate(
-            metric=metric, baseline=base_value, current=current,
-            rel_delta=delta, tolerance=tolerance, status=status))
-    for metric in sorted(candidate.metrics):
-        if metric in baseline.metrics:
-            continue
-        gates.append(MetricGate(
-            metric=metric, baseline=None,
-            current=float(candidate.metrics[metric]),
-            rel_delta=float("nan"),
-            tolerance=baseline.tolerance_for(metric), status="new"))
+    gates = sorted(
+        (_gate(metric, baseline, candidate)
+         for metric in set(baseline.metrics) | set(candidate.metrics)),
+        key=lambda gate: (-gate.severity, gate.metric))
     return GateReport(
         name=baseline.name,
         gates=tuple(gates),
-        fingerprint_match=baseline.fingerprint == candidate.fingerprint)
+        fingerprint_match=baseline.fingerprint == candidate.fingerprint,
+        base_provenance=dict(baseline.provenance),
+        candidate_provenance=dict(candidate.provenance))

@@ -1,47 +1,29 @@
 """The built-in benchmark suite behind ``repro bench``.
 
-Each benchmark is one deterministic, CI-sized workload reduced to a
-:class:`~repro.bench.snapshot.BenchSnapshot`:
+Each ``bench_<name>`` function runs one deterministic, CI-sized
+workload and reduces it to a
+:class:`~repro.bench.snapshot.BenchSnapshot` whose metrics gate a
+modeled quantity (its docstring says which and why);
+:data:`BENCHES` lists them.  Where an experiment already runs the
+workload, the snapshot reads that experiment's result rather than
+rebuilding it:
 
-* ``training`` — a profiled PICASSO W&D run: throughput, utilization,
-  critical-path coverage, pulse-phase structure;
-* ``interleaving`` — the same workload with K-Interleaving on vs off:
-  the comm/compute overlap ratios and their gap (Eq. 3's win, gated so
-  a scheduler regression that stops hiding communication fails CI);
-* ``serving`` — the end-to-end serving simulation: latency
-  percentiles, QPS, shed rate, SLO burn rate;
-* ``cache`` — HybridHash over a bounded-Zipf stream: hit ratio, EWMA
-  level, flush effectiveness (Algorithm 1's health);
-* ``faults`` — the fault-recovery sweep plus degraded-mode serving:
-  recovery overhead (goodput ratio vs crash-free, MTTR, replay
-  divergence) and replica-loss admission behaviour, gated so a
-  regression in the recovery path fails CI;
-* ``shards`` — skew-aware shard placement vs hash sharding on the
-  acceptance workload (Zipf(1.2), 8 workers): measured max/mean
-  per-worker AllToAllv bytes under both policies and the planner's
-  ratio cut, gated so a placement regression that re-skews the
-  exchange (or drops the cut below 25%) fails CI;
-* ``online`` — the continuous train->publish->swap->serve loop under a
-  flash crowd, against a no-swap replay of the same trace: goodput,
-  swap-pause p99, model staleness and delta compression, gated so a
-  swap that starts dropping requests (or a delta format that bloats
-  past 1/5th of a full checkpoint) fails CI;
-* ``replay`` — the what-if loop on the training workload: unperturbed
-  replay must reproduce the engine makespan *exactly* (tolerance 0),
-  a launch-halved perturbation must land where it lands, and the
-  coordinate-descent auto-tuner must keep finding a >= 10% winner with
-  <= 15% prediction error on it, gated so a replay or predictor
-  regression fails CI;
-* ``prefetch`` — the hot/cold lookahead pipeline on a skewed stream
-  with periodic cold scans: the ``fifo`` policy must stay the identity
-  schedule and hot-first reordering must keep cutting exposed fetch
-  seconds by >= 50% versus FIFO, gated so a scheduler regression that
-  stops hiding cold fetches fails CI.
+* ``interleaving`` gates the two profiles of
+  :func:`~repro.experiments.monitor_health.overlap_profiles`;
+* ``shards`` gates the Zipf(1.2) x 8-worker cell of
+  :func:`~repro.experiments.shard_placement.placement_cell`;
+* ``faults`` gates
+  :func:`~repro.experiments.fault_recovery.run_fault_recovery`;
+* ``training`` and ``replay`` run
+  :data:`~repro.experiments.common.WD_WORKLOAD`, the workload of the
+  monitor-health, auto-tune and diff-attribution studies.
 
-Workloads are deliberately small (seconds each): the gate's job is
-catching regressions on every PR, not measuring peak numbers.  Every
-snapshot gates a modeled quantity; wall-clock speed is measured by the
-``perf/`` benchmark instead.
+``training`` (16 iterations, prefetch on), ``serving``, ``online``,
+``cache`` and ``prefetch`` have no experiment twin; DESIGN.md says
+why for each.  Workloads are deliberately small (seconds each): the
+gate's job is catching regressions on every change, not measuring
+peak numbers.  Wall-clock speed is measured by the ``perf/``
+benchmark.
 """
 
 from __future__ import annotations
@@ -55,11 +37,15 @@ from repro.api import RunConfig, ServeConfig, StreamConfig, \
 from repro.bench.snapshot import BenchSnapshot
 from repro.core import PicassoConfig
 from repro.data import BoundedZipf
-from repro.data.spec import FieldSpec
 from repro.embedding.hybrid_hash import HybridHash
-from repro.embedding.placement import ShardPlanner, compare_policies
 from repro.embedding.table import EmbeddingTable
+from repro.experiments.common import WD_WORKLOAD
 from repro.experiments.fault_recovery import run_fault_recovery
+from repro.experiments.monitor_health import (
+    OVERLAP_WORKLOAD,
+    overlap_profiles,
+)
+from repro.experiments.shard_placement import placement_cell
 from repro.faults import FaultPlan
 from repro.serving.metrics import ServingMetrics
 from repro.serving.traffic import FlashCrowdShape
@@ -68,16 +54,6 @@ from repro.telemetry import (
     SkewMonitor,
     SloBurnRateMonitor,
 )
-
-#: The tiny-but-representative training workload the gates run on.
-_TRAIN_CONFIG = dict(model="W&D", dataset="Product-1", scale=0.05,
-                     cluster="eflops:2", batch_size=4_000, iterations=2)
-
-#: The interleaving comparison needs >1 worker per set to pipeline.
-_INTERLEAVE_CONFIG = dict(model="W&D", dataset="Product-1", scale=0.05,
-                          cluster="eflops:4", batch_size=8_000,
-                          iterations=2)
-
 
 #: The training gate's prefetch knobs: every upcoming batch counts as
 #: hot (threshold 1.0 against the HBM-deferral residency model) with a
@@ -97,7 +73,7 @@ def bench_training() -> BenchSnapshot:
     and the background stream must stay fully hidden (zero exposed
     fetch seconds).
     """
-    workload = dict(_TRAIN_CONFIG, iterations=16)
+    workload = dict(WD_WORKLOAD, iterations=16)
     config = RunConfig(picasso=PicassoConfig(**_TRAIN_PREFETCH),
                        **workload)
     result = profile(config)
@@ -143,12 +119,13 @@ def bench_training() -> BenchSnapshot:
 
 
 def bench_interleaving() -> BenchSnapshot:
-    """K-Interleaving on vs off: overlap ratios and their gap."""
-    results = {}
-    for label, picasso in (("on", PicassoConfig()),
-                           ("off", PicassoConfig().without("interleaving"))):
-        config = RunConfig(picasso=picasso, **_INTERLEAVE_CONFIG)
-        results[label] = profile(config)
+    """K-Interleaving on vs off: overlap ratios and their gap.
+
+    Eq. 3's win on the ``monitor_health`` overlap ablation's two
+    profiles, gated so a scheduler regression that stops hiding
+    communication fails CI.
+    """
+    results = overlap_profiles()
     overlap_on = results["on"].monitors["overlap"].summary
     overlap_off = results["off"].monitors["overlap"].summary
     metrics = {
@@ -174,7 +151,7 @@ def bench_interleaving() -> BenchSnapshot:
     }
     return BenchSnapshot(
         name="interleaving",
-        config=dict(_INTERLEAVE_CONFIG),
+        config=dict(OVERLAP_WORKLOAD),
         metrics=metrics,
         monitors={"overlap_on": overlap_on, "overlap_off": overlap_off},
         tolerances=tolerances)
@@ -221,7 +198,8 @@ def bench_serving() -> BenchSnapshot:
 
 
 def bench_cache() -> BenchSnapshot:
-    """HybridHash over a bounded-Zipf stream: Algorithm 1's health."""
+    """HybridHash over a bounded-Zipf stream: Algorithm 1's health
+    (hit ratio, EWMA level, flush effectiveness)."""
     config = dict(vocab_size=50_000, exponent=1.2, batch_size=512,
                   iterations=120, hot_rows=2_000, warmup_iters=20,
                   flush_iters=25, dim=8, seed=0)
@@ -351,24 +329,7 @@ def bench_shards() -> BenchSnapshot:
     """
     config = dict(vocab_size=50_000, exponent=1.2, num_fields=4,
                   dim=16, per_worker_batch=4_096, workers=8, seed=0)
-    specs = [FieldSpec(name=f"f{index}",
-                       vocab_size=config["vocab_size"],
-                       embedding_dim=config["dim"],
-                       zipf_exponent=config["exponent"])
-             for index in range(config["num_fields"])]
-    workers = config["workers"]
-    planner = ShardPlanner(workers)
-    profiles = planner.profiles_for_fields(
-        specs, config["per_worker_batch"])
-    sampler = BoundedZipf(vocab_size=config["vocab_size"],
-                          exponent=config["exponent"])
-    rng = np.random.default_rng(config["seed"])
-    batches = {
-        spec.name: [sampler.sample(config["per_worker_batch"], rng)
-                    for _worker in range(workers)]
-        for spec in specs
-    }
-    result = compare_policies(profiles, batches, workers)
+    result = placement_cell(**config)
     hash_load, planned_load = result["hash"], result["planned"]
     planned_plan = result["plans"]["planned"]
     monitor = SkewMonitor(max_ratio=1.5)
@@ -501,7 +462,7 @@ def bench_replay() -> BenchSnapshot:
     """
     from repro.replay import CostHooks, TraceReplayer
 
-    config = dict(_TRAIN_CONFIG)
+    config = dict(WD_WORKLOAD)
     base = RunConfig(**config)
     report = run(base.with_overrides(record_tasks=True))
     replayer = TraceReplayer(report.result.task_records)

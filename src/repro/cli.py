@@ -44,7 +44,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import re
 import sys
 
@@ -55,8 +54,10 @@ from repro.api import RunConfig, ServeConfig, StreamConfig, TuneConfig
 from repro.faults import FaultPlan
 from repro.bench import (
     BENCHES,
+    canonical_json,
     compare_snapshots,
     load_snapshot,
+    pair_snapshots,
     run_benches,
     snapshot_filename,
     write_snapshot,
@@ -80,8 +81,6 @@ from repro.sim import FrozenTrace
 from repro.sim.export import ascii_gantt
 from repro.telemetry import (
     class_deltas,
-    diff_bench_dirs,
-    diff_snapshots,
     diff_traces,
     format_critical_path,
     validate_chrome_trace,
@@ -464,35 +463,28 @@ def cmd_bench_run(args) -> int:
 
 
 def cmd_bench_compare(args) -> int:
-    names = args.only.split(",") if args.only else sorted(BENCHES)
+    names = args.only.split(",") if args.only else BENCHES
     failures = 0
-    for name in names:
-        baseline_path = os.path.join(args.baseline,
-                                     snapshot_filename(name))
-        candidate_path = os.path.join(args.candidate,
-                                      snapshot_filename(name))
-        if not os.path.exists(baseline_path):
-            print(f"bench {name}: no baseline at {baseline_path} "
+    for name, baseline_path, candidate_path in pair_snapshots(
+            args.baseline, args.candidate, names):
+        if baseline_path is None:
+            print(f"bench {name}: no baseline in {args.baseline} "
                   "(skipping; run with --update-baseline to create)")
             continue
-        if not os.path.exists(candidate_path):
+        if candidate_path is None:
             print(f"bench {name}: FAIL — candidate snapshot missing "
-                  f"at {candidate_path}")
+                  f"in {args.candidate}")
             failures += 1
             continue
         try:
-            baseline = load_snapshot(baseline_path)
-            candidate = load_snapshot(candidate_path)
+            report = compare_snapshots(load_snapshot(baseline_path),
+                                       load_snapshot(candidate_path))
         except ValueError as error:
             print(f"bench {name}: FAIL — {error}")
             failures += 1
             continue
-        report = compare_snapshots(baseline, candidate)
         print(report.format())
         if not report.passed:
-            # A failed gate says *that* a metric moved; the ranked
-            # attribution table says which moves matter most.
-            print(diff_snapshots(baseline, candidate).format())
             failures += 1
     if failures:
         print(f"{failures} bench gate(s) FAILED")
@@ -505,30 +497,35 @@ def cmd_diff(args) -> int:
     if args.bench:
         base_dir = args.base or "benchmarks/baselines"
         candidate_dir = args.candidate or "bench_out"
-        try:
-            diffs, base_only, candidate_only = diff_bench_dirs(
-                base_dir, candidate_dir)
-        except ValueError as error:
-            raise SystemExit(str(error))
-        if not diffs and not base_only and not candidate_only:
+        pairs = pair_snapshots(base_dir, candidate_dir)
+        if not pairs:
             raise SystemExit(
                 f"no BENCH_*.json snapshots under {base_dir} "
                 f"or {candidate_dir}")
-        for diff in diffs:
-            print(diff.format(args.top))
+        try:
+            reports = [compare_snapshots(load_snapshot(base),
+                                         load_snapshot(candidate))
+                       for _name, base, candidate in pairs
+                       if base and candidate]
+        except ValueError as error:
+            raise SystemExit(str(error))
+        base_only = [snapshot_filename(name)
+                     for name, _base, candidate in pairs if not candidate]
+        candidate_only = [snapshot_filename(name)
+                          for name, base, _candidate in pairs if not base]
+        for report in reports:
+            print(report.format(args.top))
         for name in base_only:
             print(f"baseline-only snapshot (no candidate): {name}")
         for name in candidate_only:
             print(f"candidate-only snapshot (no baseline): {name}")
         if args.output:
             payload = {"mode": "bench",
-                       "diffs": [diff.as_dict() for diff in diffs],
+                       "diffs": [report.as_dict() for report in reports],
                        "base_only": base_only,
                        "candidate_only": candidate_only}
             with open(args.output, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, indent=1,
-                          separators=(",", ": "))
-                handle.write("\n")
+                handle.write(canonical_json(payload))
             print(f"bench diff JSON written to {args.output}")
         return 0
 

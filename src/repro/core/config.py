@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 from repro.config_base import (ConfigBase, codec, require_choice,
                                require_positive)
 from repro.graph.builder import CostModel
+from repro.prefetch.classifiers import batch_classifiers
 
 _GIB = float(1 << 30)
 _MIB = float(1 << 20)
@@ -111,8 +112,7 @@ class PicassoConfig(ConfigBase):
             raise ValueError(
                 f"prefetch_hot_threshold must be in [0, 1], "
                 f"got {self.prefetch_hot_threshold}")
-        if not self.prefetch_policy:
-            raise ValueError("prefetch_policy must be non-empty")
+        require_choice(self, "prefetch_policy", batch_classifiers())
 
     @classmethod
     def base(cls) -> "PicassoConfig":

@@ -25,12 +25,11 @@ the loop), so repeated invocations are byte-identical.
 from __future__ import annotations
 
 from repro.api import RunConfig, TuneConfig, tune
-from repro.experiments.common import Check
+from repro.experiments.common import WD_WORKLOAD, Check
 from repro.tuning import strategies
 
-#: The training bench scenario (mirrors ``bench_training``).
-BASE = RunConfig(model="W&D", dataset="Product-1", scale=0.05,
-                 cluster="eflops:2", batch_size=4_000, iterations=2)
+#: The baseline every strategy tunes (the ``replay`` bench's run).
+BASE = RunConfig(**WD_WORKLOAD)
 
 
 def _format_assignment(assignment: dict) -> str:

@@ -16,6 +16,13 @@ from repro.core import PicassoConfig
 from repro.core.executor import RunReport
 from repro.data.spec import DatasetSpec, FieldSpec
 
+#: The small W&D training workload shared by the bench snapshots
+#: (``training``, ``replay``) and the monitor-health, auto-tune and
+#: diff-attribution studies: seconds per run, and the pulse/overlap
+#: structure is already visible at this size.
+WD_WORKLOAD = dict(model="W&D", dataset="Product-1", scale=0.05,
+                   cluster="eflops:2", batch_size=4_000, iterations=2)
+
 #: Per-GPU batch sizes used in the Tab. III benchmark comparison.
 BENCHMARK_BATCH_SIZES = {
     "DLRM": {"PICASSO": 42_000, "PyTorch": 7_000, "TF-PS": 6_000,

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from repro.api import RunConfig, run, run_manifest
 from repro.core import PicassoConfig
-from repro.experiments.common import Check
+from repro.experiments.common import WD_WORKLOAD, Check
 from repro.sim import FrozenTrace
 from repro.telemetry import diff_traces
-
-#: The bench-sized training workload both sides run.
-WORKLOAD = dict(model="W&D", dataset="Product-1", scale=0.05,
-                cluster="eflops:2", batch_size=4_000, iterations=2)
 
 
 def _freeze(config: RunConfig) -> FrozenTrace:
@@ -33,7 +29,7 @@ def _freeze(config: RunConfig) -> FrozenTrace:
 
 def run_diff_attribution(top_k: int = 6) -> list:
     """Rank what ``interleave_sets=1`` costs, op class by op class."""
-    base_config = RunConfig(record_tasks=True, **WORKLOAD)
+    base_config = RunConfig(record_tasks=True, **WD_WORKLOAD)
     knobbed = base_config.with_overrides(
         picasso=PicassoConfig(interleave_sets=1))
     base = _freeze(base_config)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from repro.api import RunConfig, profile
 from repro.core import PicassoConfig
-from repro.experiments.common import Check
+from repro.experiments.common import WD_WORKLOAD, Check
 
-#: Small fig05-style workload: W&D under each strategy.
-WORKLOAD = dict(model="W&D", dataset="Product-1", scale=0.05,
-                cluster="eflops:2", batch_size=4_000, iterations=2)
+#: The overlap ablation's workload: K-Interleaving needs more than one
+#: worker per set to pipeline anything.
+OVERLAP_WORKLOAD = dict(WD_WORKLOAD, cluster="eflops:4", batch_size=8_000)
 
 #: Frameworks in the paper's Fig. 5 comparison, plus PICASSO.
 STRATEGIES = ("TF-PS", "PyTorch", "PICASSO")
@@ -27,7 +27,7 @@ def run_monitor_health() -> list:
     """Pulse/overlap monitor summaries per distribution strategy."""
     rows = []
     for framework in STRATEGIES:
-        result = profile(RunConfig(framework=framework, **WORKLOAD))
+        result = profile(RunConfig(framework=framework, **WD_WORKLOAD))
         pulse = result.monitors["pulse"].summary
         overlap = result.monitors["overlap"].summary
         rows.append({
@@ -45,17 +45,22 @@ def run_monitor_health() -> list:
     return rows
 
 
+def overlap_profiles() -> dict:
+    """``{"on": result, "off": result}``: :func:`repro.api.profile` of
+    :data:`OVERLAP_WORKLOAD` with K-Interleaving on, then off."""
+    return {label: profile(RunConfig(picasso=picasso, **OVERLAP_WORKLOAD))
+            for label, picasso in (
+                ("on", PicassoConfig()),
+                ("off", PicassoConfig().without("interleaving")))}
+
+
 def run_overlap_ablation() -> list:
     """Comm/compute overlap with K-Interleaving on vs off."""
-    workload = dict(WORKLOAD, cluster="eflops:4", batch_size=8_000)
     rows = []
-    for label, picasso in (("interleaving on", PicassoConfig()),
-                           ("interleaving off",
-                            PicassoConfig().without("interleaving"))):
-        result = profile(RunConfig(picasso=picasso, **workload))
+    for label, result in overlap_profiles().items():
         overlap = result.monitors["overlap"].summary
         rows.append({
-            "variant": label,
+            "variant": f"interleaving {label}",
             "overlap": f"{overlap['overlap_ratio']:.1%}",
             "hidden_ms": f"{overlap['overlapped_seconds'] * 1e3:.2f}",
             "exposed_ms": f"{overlap['exposed_seconds'] * 1e3:.2f}",

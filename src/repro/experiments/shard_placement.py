@@ -38,11 +38,29 @@ SKEWS = (1.05, 1.2, 1.4)
 WORKER_COUNTS = (4, 8, 16)
 
 
-def _field_specs(vocab_size: int, num_fields: int, dim: int,
-                 skew: float) -> list:
-    return [FieldSpec(name=f"f{index}", vocab_size=vocab_size,
-                      embedding_dim=dim, zipf_exponent=skew)
-            for index in range(num_fields)]
+def placement_cell(vocab_size: int, exponent: float, num_fields: int,
+                   dim: int, per_worker_batch: int, workers: int,
+                   seed: int) -> dict:
+    """One cell: seeded Zipf traffic priced under both policies.
+
+    Returns the raw :func:`~repro.embedding.placement.compare_policies`
+    result (``"hash"``/``"planned"`` loads and their ``"plans"``).
+    Every cell draws from a fresh ``default_rng(seed)``: field by
+    field, one ``per_worker_batch`` sample per worker.
+    """
+    specs = [FieldSpec(name=f"f{index}", vocab_size=vocab_size,
+                       embedding_dim=dim, zipf_exponent=exponent)
+             for index in range(num_fields)]
+    profiles = ShardPlanner(workers).profiles_for_fields(
+        specs, per_worker_batch)
+    sampler = BoundedZipf(vocab_size=vocab_size, exponent=exponent)
+    rng = np.random.default_rng(seed)
+    batches = {
+        spec.name: [sampler.sample(per_worker_batch, rng)
+                    for _worker in range(workers)]
+        for spec in specs
+    }
+    return compare_policies(profiles, batches, workers)
 
 
 def run_shard_placement(vocab_size: int = 50_000, num_fields: int = 4,
@@ -52,19 +70,9 @@ def run_shard_placement(vocab_size: int = 50_000, num_fields: int = 4,
     """The skew x workers x policy table; one row per swept cell."""
     rows = []
     for skew in skews:
-        specs = _field_specs(vocab_size, num_fields, dim, skew)
-        sampler = BoundedZipf(vocab_size=vocab_size, exponent=skew)
         for workers in worker_counts:
-            planner = ShardPlanner(workers)
-            profiles = planner.profiles_for_fields(
-                specs, per_worker_batch)
-            rng = np.random.default_rng(seed)
-            batches = {
-                spec.name: [sampler.sample(per_worker_batch, rng)
-                            for _worker in range(workers)]
-                for spec in specs
-            }
-            result = compare_policies(profiles, batches, workers)
+            result = placement_cell(vocab_size, skew, num_fields, dim,
+                                    per_worker_batch, workers, seed)
             hash_load = result["hash"]
             planned_load = result["planned"]
             planned_plan = result["plans"]["planned"]

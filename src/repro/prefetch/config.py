@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config_base import ConfigBase, require_positive
+from repro.config_base import ConfigBase, require_choice, require_positive
+from repro.prefetch.classifiers import batch_classifiers
 
 _MIB = float(1 << 20)
 
@@ -48,8 +49,7 @@ class PrefetchConfig(ConfigBase):
                 f"hot_threshold must be in [0, 1], "
                 f"got {self.hot_threshold}")
         require_positive(self, "max_inflight_bytes", integer=False)
-        if not self.policy:
-            raise ValueError("policy must be non-empty")
+        require_choice(self, "policy", batch_classifiers())
 
     @property
     def reorders(self) -> bool:

@@ -625,15 +625,15 @@ class Engine:
                 segments.setdefault(tid, []).append(
                     (phases[tid][phase_index[tid]][0], start, now))
 
-        def admit(tid: int) -> None:
-            # Zero-work phases complete immediately, in order.
+        def admit(tid: int) -> bool:
+            """Occupy or queue ``tid`` on its next phase with work;
+            False if none is left (the caller then completes it)."""
             task_phases = phases[tid]
             n_phases = len(task_phases)
             index = phase_index[tid]
             while True:
                 if index >= n_phases:
-                    complete(tid)
-                    return
+                    return False
                 phase = task_phases[index]
                 if phase[1] <= 0:
                     index += 1
@@ -647,8 +647,9 @@ class Engine:
                 resource.queue.append(tid)
                 if start_time[tid] is None:
                     start_time[tid] = now
+            return True
 
-        def complete(tid: int) -> None:
+        def finish(tid: int) -> None:
             nonlocal finished
             finish_time[tid] = now
             finished += 1
@@ -661,17 +662,31 @@ class Engine:
                     preds=tuple(pred_names[tid]),
                     tags=dict(tags[tid]),
                     segments=tuple(segments.pop(tid, ()))))
-            for succ in succs[tid]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    admit(succ)
+
+        def complete(tid: int) -> None:
+            """Finish ``tid``, then admit the successors it releases.
+            One with no work left finishes too, and its successors are
+            walked before its next sibling: on a stack, not by
+            recursion, so no zero-work chain is too long."""
+            finish(tid)
+            stack = [iter(succs[tid])]
+            while stack:
+                for succ in stack[-1]:
+                    indegree[succ] -= 1
+                    if indegree[succ] == 0 and not admit(succ):
+                        finish(succ)
+                        stack.append(iter(succs[succ]))
+                        break
+                else:
+                    stack.pop()
 
         # Snapshot the initial ready set first: admitting a zero-work
         # task can cascade completions that drop other tasks' indegree
         # to zero, and those are already admitted by the cascade.
         initially_ready = [tid for tid in range(total) if not indegree[tid]]
         for tid in initially_ready:
-            admit(tid)
+            if not admit(tid):
+                complete(tid)
 
         def kill_in_flight() -> int:
             """Crash semantics: every in-flight task loses its current
@@ -806,9 +821,7 @@ class Engine:
                             drain_queue(resource, lane)
                         index += 1
                         phase_index[tid] = index
-                        if index < len(task_phases):
-                            admit(tid)
-                        else:
+                        if index >= len(task_phases) or not admit(tid):
                             complete(tid)
 
                 if injector is not None:

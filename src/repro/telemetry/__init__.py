@@ -23,12 +23,9 @@ from repro.telemetry.critical_path import (
     format_critical_path,
 )
 from repro.telemetry.diff import (
-    BenchDiff,
     DiffEntry,
     TraceDiff,
     align_records,
-    diff_bench_dirs,
-    diff_snapshots,
     diff_traces,
 )
 from repro.telemetry.monitor import (
@@ -60,7 +57,6 @@ from repro.telemetry.timeseries import Ewma, Histogram
 __all__ = [
     "Alert",
     "AnomalyDetector",
-    "BenchDiff",
     "CacheHealthMonitor",
     "CriticalPathReport",
     "DiffEntry",
@@ -88,8 +84,6 @@ __all__ = [
     "chrome_trace",
     "class_deltas",
     "config_fingerprint",
-    "diff_bench_dirs",
-    "diff_snapshots",
     "diff_traces",
     "emit_alerts",
     "format_critical_path",

@@ -11,11 +11,10 @@ deltas sum to the makespan delta with no residual.  The ranked
 workers s1,s3 explains 78% of the makespan delta"), JSON, and a
 Chrome-trace overlay with base and candidate as separate processes.
 
-:func:`diff_snapshots` is the benchmark-side sibling: it ranks the
-metric deltas of a candidate :class:`~repro.bench.snapshot.
-BenchSnapshot` against its baseline by severity (relative delta over
-tolerance), which is what ``repro bench compare`` prints when a gate
-fails and what ``repro diff --bench`` writes as a CI artifact.
+Its benchmark-side sibling is
+:func:`repro.bench.snapshot.compare_snapshots`, which ranks a
+candidate snapshot's metric deltas by severity for both ``repro bench
+compare`` and ``repro diff --bench``.
 
 Alignment is three-staged: exact task name (names are unique per
 trace), then :func:`~repro.telemetry.critical_path.group_label` class
@@ -476,153 +475,3 @@ def diff_traces(base: FrozenTrace, candidate: FrozenTrace,
             candidate.metadata.get("provenance", {})),
         pairs=pairs, base_only=base_only,
         candidate_only=candidate_only)
-
-
-@dataclass(frozen=True)
-class BenchDiffRow:
-    """One metric's delta, severity-scored against its tolerance."""
-
-    metric: str
-    baseline: float | None
-    current: float | None
-    rel_delta: float
-    tolerance: float
-    status: str
-    severity: float  # |rel_delta| / tolerance; inf for hard failures
-
-    def as_dict(self) -> dict:
-        # NaN / inf sentinels become null so the payload stays strict
-        # JSON (canonical_json round-trips through json.loads).
-        return {
-            "metric": self.metric,
-            "baseline": self.baseline,
-            "current": self.current,
-            "rel_delta": (None if self.rel_delta != self.rel_delta
-                          else self.rel_delta),
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "severity": (None if self.severity == float("inf")
-                         else self.severity),
-        }
-
-
-@dataclass
-class BenchDiff:
-    """Ranked metric attribution for one bench-vs-baseline pair."""
-
-    name: str
-    rows: list = field(default_factory=list)  # BenchDiffRow, ranked
-    fingerprint_match: bool = True
-    base_provenance: dict = field(default_factory=dict)
-    candidate_provenance: dict = field(default_factory=dict)
-
-    @property
-    def regressed(self) -> list:
-        return [row for row in self.rows
-                if row.status in ("fail", "missing")]
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "fingerprint_match": self.fingerprint_match,
-            "rows": [row.as_dict() for row in self.rows],
-            "base_provenance": dict(self.base_provenance),
-            "candidate_provenance": dict(self.candidate_provenance),
-        }
-
-    def format(self, k: int | None = None) -> str:
-        """Ranked attribution table (most-over-tolerance first)."""
-        lines = [f"bench diff {self.name}: "
-                 f"{len(self.regressed)} metric(s) over tolerance"]
-        if not self.fingerprint_match:
-            lines.append("  WARNING: config fingerprints differ — "
-                         "the runs measured different workloads")
-        for side, prov in (("base", self.base_provenance),
-                           ("candidate", self.candidate_provenance)):
-            if prov:
-                lines.append(
-                    f"  {side}: git {prov.get('git', '?')} config "
-                    f"{prov.get('config_fingerprint', '?')}")
-        lines.append(f"  {'#':>2}  {'sev':>6}  {'delta':>8}  "
-                     f"{'tol':>6}  {'metric':<28} "
-                     f"{'baseline':>12} -> {'current':>12}")
-        rows = self.rows if k is None else self.rows[:k]
-        for rank, row in enumerate(rows, start=1):
-            severity = ("inf" if row.severity == float("inf")
-                        else f"{row.severity:.1f}x")
-            delta = ("-" if row.rel_delta != row.rel_delta
-                     else f"{row.rel_delta:+.2%}")
-            baseline = ("-" if row.baseline is None
-                        else f"{row.baseline:.6g}")
-            current = ("-" if row.current is None
-                       else f"{row.current:.6g}")
-            lines.append(
-                f"  {rank:>2}  {severity:>6}  {delta:>8}  "
-                f"{row.tolerance:>6.1%}  {row.metric:<28} "
-                f"{baseline:>12} -> {current:>12}  {row.status}")
-        return "\n".join(lines)
-
-
-def diff_snapshots(baseline, candidate) -> BenchDiff:
-    """Rank a candidate snapshot's metric deltas against its baseline.
-
-    Severity is relative delta over tolerance — the distance past the
-    gate, not the raw delta — so a 2% move on a 0.5% tolerance
-    outranks a 20% move on a 50% one.  ``missing`` metrics score
-    infinite severity; ``new`` ones score zero.
-    """
-    from repro.bench.snapshot import compare_snapshots
-    report = compare_snapshots(baseline, candidate)
-    rows = []
-    for gate in report.gates:
-        if gate.status == "missing":
-            severity = float("inf")
-        elif gate.status == "new":
-            severity = 0.0
-        elif gate.tolerance > 0:
-            severity = abs(gate.rel_delta) / gate.tolerance
-        else:
-            severity = (float("inf") if gate.rel_delta != 0.0 else 0.0)
-        rows.append(BenchDiffRow(
-            metric=gate.metric, baseline=gate.baseline,
-            current=gate.current, rel_delta=gate.rel_delta,
-            tolerance=gate.tolerance, status=gate.status,
-            severity=severity))
-    rows.sort(key=lambda row: (-row.severity
-                               if row.severity != float("inf")
-                               else float("-inf"), row.metric))
-    prov = getattr(baseline, "provenance", {}) or {}
-    cand_prov = getattr(candidate, "provenance", {}) or {}
-    return BenchDiff(name=baseline.name, rows=rows,
-                     fingerprint_match=report.fingerprint_match,
-                     base_provenance=dict(prov),
-                     candidate_provenance=dict(cand_prov))
-
-
-def diff_bench_dirs(base_dir: str, candidate_dir: str):
-    """Diff every snapshot present on both sides of two directories.
-
-    Returns ``(diffs, base_only, candidate_only)`` where the lists
-    name snapshots found on only one side.  Used by
-    ``repro diff --bench``.
-    """
-    import os
-
-    from repro.bench.snapshot import load_snapshot
-
-    def snapshots(directory: str) -> dict:
-        found = {}
-        if os.path.isdir(directory):
-            for entry in sorted(os.listdir(directory)):
-                if entry.startswith("BENCH_") and entry.endswith(".json"):
-                    found[entry] = os.path.join(directory, entry)
-        return found
-
-    base = snapshots(base_dir)
-    candidate = snapshots(candidate_dir)
-    diffs = [diff_snapshots(load_snapshot(base[name]),
-                            load_snapshot(candidate[name]))
-             for name in sorted(set(base) & set(candidate))]
-    base_only = sorted(set(base) - set(candidate))
-    candidate_only = sorted(set(candidate) - set(base))
-    return diffs, base_only, candidate_only

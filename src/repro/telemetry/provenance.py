@@ -42,8 +42,8 @@ _DESCRIPTOR_KEYS = ("model", "dataset", "cluster", "framework")
 def config_fingerprint(config: dict) -> str:
     """Short stable hash of a config dict (workload identity).
 
-    The same algorithm the benchmark snapshots gate on: canonical
-    compact JSON, sha256, first 16 hex chars.
+    Canonical compact JSON, sha256, first 16 hex chars; the benchmark
+    snapshots gate on this same function.
     """
     import hashlib
     import json

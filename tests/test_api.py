@@ -110,6 +110,16 @@ class TestRunConfig:
     def test_zero_hot_storage_accepted(self):
         assert PicassoConfig(hot_storage_bytes=0).hot_storage_bytes == 0
 
+    @pytest.mark.parametrize("leg, name", [
+        (PrefetchConfig, "policy"),
+        (PicassoConfig, "prefetch_policy"),
+    ])
+    def test_unknown_prefetch_policy_rejected(self, leg, name):
+        # "typo" used to run silently as "hotness".
+        for value in ("typo", ""):
+            with pytest.raises(ValueError, match=name):
+                leg(**{name: value})
+
     @pytest.mark.parametrize("name, value", [
         ("model", "BERT"), ("dataset", "ImageNet"),
         ("framework", "MXNet"), ("cluster", "gn6e:-3"),

@@ -38,7 +38,7 @@ INVALID = {
     ("PrefetchConfig", "lookahead_depth"): ("simulate", "0"),
     ("PrefetchConfig", "hot_threshold"): ("simulate", "1.5"),
     ("PrefetchConfig", "max_inflight_bytes"): ("simulate", "nan"),
-    ("PrefetchConfig", "policy"): ("simulate", ""),
+    ("PrefetchConfig", "policy"): ("simulate", "typo"),
     ("ServeConfig", "requests"): ("serve", "0"),
     ("ServeConfig", "seed"): ("serve", "-1"),
     ("ServeConfig", "rate_qps"): ("serve", "0"),

@@ -1,5 +1,5 @@
 """Tests for differential observability: trace diff, flight recorder,
-provenance manifests and the bench-diff attribution report.
+provenance manifests and the ranked bench-snapshot comparison.
 
 The acceptance bar from the PR issue lives here: diffing a frozen
 trace against a replay whose Shuffle ops were scaled 1.3x must
@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.api import RunConfig, run, run_manifest
-from repro.bench.snapshot import BenchSnapshot
+from repro.bench.snapshot import BenchSnapshot, compare_snapshots
 from repro.replay import CostHooks, TraceReplayer
 from repro.sim import FrozenTrace, TaskRecord
 from repro.sim.resource import ResourceKind
@@ -24,7 +24,6 @@ from repro.telemetry import (
     annotate_timeseries,
     build_manifest,
     config_fingerprint,
-    diff_snapshots,
     diff_traces,
     git_describe,
     validate_chrome_trace,
@@ -385,30 +384,31 @@ class TestBenchDiff:
 
     def test_ranking_most_severe_first(self):
         baseline, candidate = self._snapshots()
-        diff = diff_snapshots(baseline, candidate)
-        assert [row.metric for row in diff.rows][:2] == ["count", "ips"]
-        assert diff.rows[0].severity == float("inf")  # missing metric
-        assert diff.rows[0].status == "missing"
-        assert diff.rows[1].severity == pytest.approx(4.0)  # 20% / 5%
+        report = compare_snapshots(baseline, candidate)
+        assert [gate.metric for gate in report.gates][:2] \
+            == ["count", "ips"]
+        assert report.gates[0].severity == float("inf")  # missing metric
+        assert report.gates[0].status == "missing"
+        assert report.gates[1].severity == pytest.approx(4.0)  # 20% / 5%
 
     def test_regressed_and_new(self):
         baseline, candidate = self._snapshots()
-        diff = diff_snapshots(baseline, candidate)
-        assert {row.metric for row in diff.regressed} \
+        report = compare_snapshots(baseline, candidate)
+        assert {gate.metric for gate in report.failures} \
             == {"count", "ips"}
-        new = [row for row in diff.rows if row.status == "new"]
-        assert [row.metric for row in new] == ["fresh"]
+        new = [gate for gate in report.gates if gate.status == "new"]
+        assert [gate.metric for gate in new] == ["fresh"]
         assert new[0].severity == 0.0
 
     def test_as_dict_is_strict_json(self):
         baseline, candidate = self._snapshots()
-        diff = diff_snapshots(baseline, candidate)
-        text = json.dumps(diff.as_dict(), allow_nan=False)
+        report = compare_snapshots(baseline, candidate)
+        text = json.dumps(report.as_dict(), allow_nan=False)
         json.loads(text)
 
     def test_format_carries_provenance(self):
         baseline, candidate = self._snapshots()
-        text = diff_snapshots(baseline, candidate).format()
+        text = compare_snapshots(baseline, candidate).format()
         assert "git abc" in text
         assert "metric(s) over tolerance" in text
 

@@ -323,7 +323,14 @@ class TestHandBuiltEquivalence:
                               Phase(ResourceKind.NET, 13.0)])
             c = SimTask("c", [Phase(ResourceKind.GPU_SM, 0.0)])
             c.depends_on(a)
-            return [a, b, c]
+            # a releases c, then w1.  c has no work, so it finishes at
+            # once and its w2 is admitted before w1 (depth first); the
+            # two then share LAUNCH and finish in admission order.
+            w1 = SimTask("w1", [Phase(ResourceKind.LAUNCH, 4.0)])
+            w2 = SimTask("w2", [Phase(ResourceKind.LAUNCH, 4.0)])
+            w1.depends_on(a)
+            w2.depends_on(c)
+            return [a, b, c, w1, w2]
         _check(self._resources, tasks)
 
     def test_processor_sharing_with_caps(self):

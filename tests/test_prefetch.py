@@ -65,6 +65,8 @@ class TestPrefetchConfig:
             PrefetchConfig(max_inflight_bytes=0.0)
         with pytest.raises(ValueError):
             PrefetchConfig(policy="")
+        with pytest.raises(ValueError, match="policy"):
+            PrefetchConfig(policy="typo")
 
     def test_fifo_and_depth_one_never_reorder(self):
         assert not PrefetchConfig(policy="fifo").reorders

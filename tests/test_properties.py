@@ -15,6 +15,8 @@ from repro.embedding import EmbeddingTable, HybridHash, shard_for_id
 from repro.nn.loss import bce_loss
 from repro.nn.metrics import auc_score
 from repro.nn.network import VARIANTS
+from repro.replay import WAIT_MODELS
+from repro.tuning import strategies as tuning_strategies
 from repro.serving import CACHE_KINDS
 from repro.sim import Engine, Phase, Resource, ResourceKind, SimTask
 
@@ -192,7 +194,10 @@ _BAD_VALUES = {
                 {"device_memory_budget": float("inf")},
                 {"prefetch_inflight_bytes": float("nan")},
                 {"prefetch_hot_threshold": 1.5}, {"flush_iters": 0},
-                {"prefetch_lookahead": 0}],
+                {"prefetch_lookahead": 0}, {"prefetch_policy": "typo"}],
+    # tune() searches PICASSO's knobs, so another framework is out too.
+    "run": [{"batch_size": 0}, {"model": "BERT"}, {"cluster": "tpu:4"},
+            {"framework": "TF-PS"}],
 }
 #: field -> (small in-contract strategy, kind of field).
 _SERVING_FIELDS = {
@@ -261,6 +266,24 @@ _RUN_FIELDS = {
     }), "picasso"),
 }
 
+#: A tiny DLRM baseline (a tune takes at most ~1.5 s) and the knobs of
+#: the search itself.
+_TUNE_FIELDS = {
+    "run": (st.fixed_dictionaries({
+        "model": st.just("DLRM"),
+        "dataset": st.just("Criteo"),
+        "scale": st.floats(1e-4, 1e-3),
+        "cluster": st.just("eflops:2"),
+        "batch_size": st.integers(1, 512),
+        "iterations": st.integers(1, 2),
+    }), "run"),
+    "strategy": (st.sampled_from(tuning_strategies()), "choice"),
+    "top_k": (st.integers(1, 3), "count"),
+    "wait_model": (st.sampled_from(sorted(WAIT_MODELS)), "choice"),
+    "shrink_credit": (st.floats(0.01, 1.0), "duration"),
+    "diversity_cap": (st.integers(1, 3), "count"),
+}
+
 
 def _payloads(fields: dict, *sizes: str):
     """In-contract field subsets that always draw the run-size fields
@@ -327,3 +350,16 @@ def _positive_ips(config) -> tuple:
 def test_run_config_fails_at_boundary_or_reports_finite(payload):
     _assert_fails_at_boundary_or_finite(api.RunConfig, payload,
                                         _positive_ips)
+
+
+def _positive_best_ips(config) -> tuple:
+    best_ips = api.tune(config).best_ips
+    assert best_ips > 0, best_ips
+    return (best_ips,)
+
+
+@settings(max_examples=25)
+@given(payload=_payloads(_TUNE_FIELDS, "run"))
+def test_tune_config_fails_at_boundary_or_reports_finite(payload):
+    _assert_fails_at_boundary_or_finite(api.TuneConfig, payload,
+                                        _positive_best_ips)

@@ -110,6 +110,18 @@ class TestDependencies:
         result = engine.run([*tasks, tail])
         assert result.makespan == pytest.approx(1.0)
 
+    def test_long_zero_work_chain_completes(self):
+        # Zero-work completions are walked on an explicit stack, so a
+        # chain far deeper than the interpreter's recursion limit runs.
+        engine = _engine(**{ResourceKind.NET: 10.0})
+        tasks = [SimTask(f"c{i}", []) for i in range(5_000)]
+        for before, after in zip(tasks[:-1], tasks[1:]):
+            after.depends_on(before)
+        result = engine.run(tasks, keep_finish_times=True)
+        assert result.makespan == 0.0
+        assert result.task_count == 5_000
+        assert len(result.finish_times) == 5_000
+
 
 class TestSlots:
     def test_single_slot_serializes(self):
@@ -231,6 +243,27 @@ class TestEngineCounters:
         assert set(summary.as_dict()) == {
             "makespan", "task_count", "event_count", "busy_seconds",
             "work_done"}
+
+
+class TestMemory:
+    def test_warm_run_leaves_no_cyclic_garbage(self):
+        # A run's lanes, traces and records must be freed by reference
+        # counting alone, not left for a generation-2 collection.
+        import gc
+
+        from repro.api import RunConfig, run
+
+        config = RunConfig(model="W&D", dataset="Product-1",
+                           cluster="eflops:2", batch_size=20_000,
+                           iterations=20)
+        run(config)
+        gc.collect()
+        gc.disable()
+        try:
+            run(config)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDesignAblations:
