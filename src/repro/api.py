@@ -671,7 +671,9 @@ def tune(config: TuneConfig,
     (diversity-capped, see :class:`TuneConfig`) with real :func:`run`
     executions, and crowns the best *measured* one — so a replay
     misprediction costs a validation slot, never a wrong winner among
-    the validated set.
+    the validated set.  ``micro_batches`` values above the batch size
+    are dropped from the space before pricing (:meth:`KnobSpace.fitting`
+    raises :class:`ValueError` naming ``batch_size`` if none is left).
     """
     base = config.run
     if base.framework != "PICASSO":
@@ -681,6 +683,8 @@ def tune(config: TuneConfig,
     model = model if model is not None else base.build_model()
     cluster = base.resolved_cluster()
     base_picasso = base.picasso or PicassoConfig()
+    space = config.knobs if config.knobs is not None else default_space()
+    space = space.fitting(base.batch_size)
 
     if config.trace_path is not None:
         trace = FrozenTrace.load(config.trace_path)
@@ -697,7 +701,6 @@ def tune(config: TuneConfig,
         model, cluster, base.batch_size, base.iterations, records,
         base_picasso=base_picasso, wait_model=config.wait_model,
         shrink_credit=config.shrink_credit)
-    space = config.knobs if config.knobs is not None else default_space()
     ctx = SearchContext(predictor=predictor, space=space,
                         base=base_picasso,
                         options=dict(config.options))

@@ -25,6 +25,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from repro.sim.trace import canonical_json
 from repro.telemetry.provenance import config_fingerprint
 
 #: Bump when the snapshot layout changes incompatibly.
@@ -32,12 +33,6 @@ SCHEMA_VERSION = 1
 
 #: Gate tolerance applied to metrics without an explicit one (5%).
 DEFAULT_TOLERANCE = 0.05
-
-
-def canonical_json(payload: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, newline EOF."""
-    return json.dumps(payload, sort_keys=True, indent=1,
-                      separators=(",", ": ")) + "\n"
 
 
 def snapshot_filename(name: str) -> str:

@@ -333,6 +333,14 @@ def cmd_profile(args) -> int:
           f"{report.ips:,.0f} ips, "
           f"{report.seconds_per_iteration * 1e3:.1f} ms/iter, "
           f"{len(report.result.task_records)} tasks")
+    result = report.result
+    peaks = " ".join(f"{kind}={count}"
+                     for kind, count in result.peak_occupancy.items())
+    print(f"engine: {result.event_count:,} events, "
+          f"{result.lane_rebuilds:,} lane rebuilds, "
+          f"peak occupancy {peaks}, "
+          f"{result.swept_slots / max(result.event_count, 1):.1f} "
+          "swept slots/event")
     print(format_critical_path(profiled.critical_path))
     for name, monitor in sorted(profiled.monitors.items()):
         verdict = "healthy" if monitor.healthy else "UNHEALTHY"

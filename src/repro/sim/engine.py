@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from operator import itemgetter
@@ -34,9 +35,13 @@ from repro.sim.trace import TaskRecord, TraceRecorder
 
 _EPS = 1e-12
 
-#: Initial capacity of the engine's slot arrays; grows by
-#: doubling when concurrency exceeds it.
+#: Smallest width of the engine's slot window, which doubles when full.
 _MIN_SLOTS = 64
+
+#: Fill and dtype of each slot array: ``remaining`` (``inf`` keeps a free
+#: slot inert), ``rate``, ``thresh``, lane id, then scratch buffers.
+_SLOT_ARRAYS = ((np.inf, float), (1.0, float), (-1.0, float),
+                (-1, np.int8), (0.0, float), (0.0, float), (False, bool))
 
 #: Occupancy from which a lane's shared-rate fill is one masked numpy
 #: write over the slot arrays instead of a per-occupant Python loop
@@ -207,6 +212,8 @@ class SimResult:
     #: the most occupants one allocation shared the resource among.
     lane_rebuilds: int = 0
     peak_occupancy: dict = field(default_factory=dict)
+    #: the slot-window width each event swept, summed over events.
+    swept_slots: int = 0
 
     def busy_fraction(self, kind: ResourceKind) -> float:
         """Fraction of the makespan the resource was occupied at all."""
@@ -274,25 +281,29 @@ def build_node_resources(node: NodeSpec, launch_slots: int = 4,
 
 
 class _Lane:
-    """Cached rate allocation of one resource.
+    """One resource's occupants, wait queue and cached rate allocation.
 
     The water-filling allocation is a pure function of the occupant
     list and the fault scale, so a lane caches it and only recomputes
     when membership or scale actually changed (the ``dirty`` flag).
     ``caps`` holds one ``(max_rate, admission number, task id)`` entry
     per occupant, kept sorted so every water-fill iteration's capped
-    set is a prefix.  ``capped`` maps the task ids the last fill
+    set is a prefix; it is the lane's occupant set, so its length is
+    the occupancy ``slots`` bounds, and tasks beyond it wait FIFO in
+    ``queue``.  ``capped`` maps the task ids the last fill
     capped to negative keys in :meth:`Resource.allocate_rates` order;
     the uncapped rest follow in admission order, keyed by admission
     number — together the order the engine emits completions in.
     """
 
-    __slots__ = ("capacity", "index", "caps", "capped", "total",
-                 "scale", "dirty", "live", "peak", "busy", "work",
+    __slots__ = ("capacity", "slots", "queue", "index", "caps", "capped",
+                 "total", "scale", "dirty", "live", "peak", "busy", "work",
                  "trace", "seg_append")
 
     def __init__(self, resource: Resource, trace, index: int):
         self.capacity = resource.capacity
+        self.slots = resource.slots
+        self.queue: deque = deque()
         #: the resource's rank in the engine's resources dict; also
         #: its id in the per-slot lane array.
         self.index = index
@@ -302,9 +313,8 @@ class _Lane:
         self.peak = 0
         self.scale = 1.0
         self.dirty = False
-        #: whether the lane currently has occupants (mirrors
-        #: ``resource.active`` being non-empty after the last rebuild);
-        #: live lanes are the only ones the trace step visits.
+        #: whether the lane had occupants at its last rebuild; live
+        #: lanes are the only ones the trace step visits.
         self.live = False
         # Trace accumulators, folded in event order exactly as
         # ``TraceRecorder.add_interval`` would; flushed into the
@@ -365,15 +375,16 @@ class Engine:
         Design (see DESIGN.md "Engine internals"):
 
         * per-task state (indegree countdown, phase index, slot, start
-          and finish times) lives in lists indexed by task id, and
-          ``Resource.active``/``queue`` and the lanes hold task ids;
+          and finish times) lives in lists indexed by task id, and each
+          resource's :class:`_Lane` holds its occupants and wait queue;
         * every *active* task owns a slot in flat float64 arrays
-          (``remaining``/``rate``/``thresh``); slots are recycled
-          through a free list, so array length tracks peak concurrency,
-          not task count.  Inactive slots hold ``remaining = inf``,
-          which keeps them inert under every whole-array op whatever
-          rate, threshold and lane id they last held;
-        * per-resource allocations live in :class:`_Lane` caches,
+          (``remaining``/``rate``/``thresh``), swept over a power-of-two
+          window that holds every occupant and halves once a quarter of
+          it does, so per-event cost tracks live occupancy.  Inactive
+          slots hold ``remaining = inf``, which keeps them inert under
+          every whole-array op whatever rate, threshold and lane id
+          they last held;
+        * per-resource allocations live in the lanes' caches,
           recomputed only when occupancy or the fault scale changes.  A
           lane keeps its occupants sorted by rate cap, so the common
           "nobody is capped" fill is one compare plus one masked write
@@ -390,7 +401,8 @@ class Engine:
         min/compare operations pick values without rounding, and every
         order-sensitive reduction (the budget subtraction, the recorder
         totals, completion emission) runs in
-        :meth:`Resource.allocate_rates` order.
+        :meth:`Resource.allocate_rates` order.  No output depends on a
+        slot number, so moving occupants between slots changes none.
         """
         table = (tasks if isinstance(tasks, TaskTable)
                  else TaskTable.from_tasks(tasks))
@@ -401,9 +413,6 @@ class Engine:
         total = len(names)
         resources = self.resources
         res_items = list(resources.items())
-        for resource in resources.values():
-            resource.active.clear()
-            resource.queue.clear()
         recorder = TraceRecorder(
             {kind: res.capacity for kind, res in res_items})
         now = 0.0
@@ -431,27 +440,24 @@ class Engine:
         finish_time: list = [None] * total
 
         # --- flat slot state -------------------------------------------------
-        cap = _MIN_SLOTS
-        remaining = np.full(cap, np.inf)
-        rate = np.ones(cap)
-        thresh = np.full(cap, -1.0)
-        #: the occupying task's lane index per slot (-1 = inactive).
-        slot_lane = np.full(cap, -1, dtype=np.int8)
-        buf_eta = np.empty(cap)
-        buf_tmp = np.empty(cap)
-        buf_cmp = np.empty(cap, dtype=bool)
-        slot_task: list = [None] * cap
-        #: the occupant's admission number per slot: ``resource.active``
-        #: is always in increasing admission order, since every append
-        #: draws a new one.
-        slot_seq: list = [0] * cap
-        free_slots = list(range(cap - 1, -1, -1))
+        #: the sweep window: slots ``[0, hi)`` hold every occupant, and
+        #: ``free_slots`` (popped LIFO) lists exactly its free ones.
+        hi = _MIN_SLOTS
+        #: window widths swept, summed over the events up to ``mark``.
+        swept = mark = 0
+        #: the slot arrays at full capacity; the names below are their
+        #: ``[:hi]`` views, and slot writes go through those.
+        full = [np.full(hi, fill, dtype) for fill, dtype in _SLOT_ARRAYS]
+        remaining, rate, thresh, slot_lane, buf_eta, buf_tmp, buf_cmp = full
+        slot_task: list = [None] * hi
+        #: the occupant's admission number per slot.
+        slot_seq: list = [0] * hi
+        free_slots = list(range(hi - 1, -1, -1))
         lane_list = [_Lane(res, recorder.trace(kind), index)
                      for index, (kind, res) in enumerate(res_items)]
         lanes = dict(zip(resources, lane_list))
-        #: ``(resource, lane)`` per kind value (the phase rows' key), so
-        #: hot paths pay one dict lookup instead of two.
-        kind_info = {kind.value: (res, lanes[kind]) for kind, res in res_items}
+        #: the lane per kind value (the phase rows' key).
+        lane_of = {kind.value: lane for kind, lane in lanes.items()}
         #: lanes whose allocation must be recomputed before the next
         #: event (appended at most once each — the ``dirty`` flag).
         dirty_lanes: list = []
@@ -462,42 +468,62 @@ class Engine:
         next_seq = count().__next__
         by_seq = itemgetter(1)
 
-        def grow() -> None:
-            nonlocal cap, remaining, rate, thresh, slot_lane
-            nonlocal buf_eta, buf_tmp, buf_cmp
+        def set_window(width: int) -> None:
+            """Resize the window to ``width``: bill the events swept at
+            the old width, grow the arrays past their capacity, and
+            rebind the views and the sweep's bound methods."""
+            nonlocal hi, swept, mark, full, remaining, rate, thresh
+            nonlocal slot_lane, buf_eta, buf_tmp, buf_cmp
             nonlocal eta_argmin, eta_item, cmp_nonzero
-            new_cap = cap * 2
-            remaining = np.concatenate(
-                [remaining, np.full(cap, np.inf)])
-            rate = np.concatenate([rate, np.ones(cap)])
-            thresh = np.concatenate([thresh, np.full(cap, -1.0)])
-            slot_lane = np.concatenate(
-                [slot_lane, np.full(cap, -1, dtype=np.int8)])
-            buf_eta = np.empty(new_cap)
-            buf_tmp = np.empty(new_cap)
-            buf_cmp = np.empty(new_cap, dtype=bool)
+            swept += hi * (events - mark)
+            mark = events
+            hi = width
+            size = len(slot_task)
+            if hi > size:
+                full = [np.concatenate([array, np.full(size, fill, dtype)])
+                        for array, (fill, dtype) in zip(full, _SLOT_ARRAYS)]
+                slot_task.extend([None] * size)
+                slot_seq.extend([0] * size)
+            (remaining, rate, thresh, slot_lane,
+             buf_eta, buf_tmp, buf_cmp) = [array[:hi] for array in full]
             eta_argmin = buf_eta.argmin
             eta_item = buf_eta.item
             cmp_nonzero = buf_cmp.nonzero
-            slot_task.extend([None] * cap)
-            slot_seq.extend([0] * cap)
-            free_slots.extend(range(new_cap - 1, cap - 1, -1))
-            cap = new_cap
 
-        def occupy(tid: int, phase: tuple, resource: Resource,
-                   lane: _Lane) -> None:
-            """Append task ``tid``, entering ``phase``, to
-            ``resource.active``: admission number, sorted-caps entry,
-            slot and lane id."""
+        def shrink() -> None:
+            """Halve the window while a quarter of it holds every
+            occupant, moving those above the new top to free slots
+            below it."""
+            width = hi
+            while width > _MIN_SLOTS and len(running) <= width // 4:
+                width //= 2
+            low = [slot for slot in free_slots if slot < width]
+            for tid in running:
+                slot = task_slot[tid]
+                if slot >= width:
+                    new = low.pop()
+                    task_slot[tid] = new
+                    slot_task[new] = tid
+                    slot_task[slot] = None
+                    slot_seq[new] = slot_seq[slot]
+                    for array in (slot_lane, rate, thresh, remaining):
+                        array[new] = array[slot]
+                    remaining[slot] = np.inf
+            free_slots[:] = low
+            set_window(width)
+
+        def occupy(tid: int, phase: tuple, lane: _Lane) -> None:
+            """Seat ``tid``, entering ``phase``, on ``lane``: admission
+            number, sorted-caps entry, slot and lane id."""
             if not free_slots:
-                grow()
+                free_slots.extend(range(2 * hi - 1, hi - 1, -1))
+                set_window(2 * hi)
             slot = free_slots.pop()
             task_slot[tid] = slot
             slot_task[slot] = tid
             seq = next_seq()
             slot_seq[slot] = seq
             slot_lane[slot] = lane.index
-            resource.active.append(tid)
             insort(lane.caps, (phase[2], seq, tid))
             if not lane.dirty:
                 lane.dirty = True
@@ -509,11 +535,12 @@ class Engine:
             if start_time[tid] is None:
                 start_time[tid] = now
 
-        def drain_queue(resource: Resource, lane: _Lane) -> None:
-            queue = resource.queue
-            while queue and resource.has_free_slot():
-                tid = queue.pop(0)
-                occupy(tid, phases[tid][phase_index[tid]], resource, lane)
+        def drain_queue(lane: _Lane) -> None:
+            queue = lane.queue
+            while queue and (lane.slots is None
+                             or len(lane.caps) < lane.slots):
+                tid = queue.popleft()
+                occupy(tid, phases[tid][phase_index[tid]], lane)
 
         def deactivate(tid: int) -> None:
             slot = task_slot[tid]
@@ -640,11 +667,11 @@ class Engine:
                     phase_index[tid] = index
                     continue
                 break
-            resource, lane = kind_info[phase[0]]
-            if resource.slots is None or len(resource.active) < resource.slots:
-                occupy(tid, phase, resource, lane)
+            lane = lane_of[phase[0]]
+            if lane.slots is None or len(lane.caps) < lane.slots:
+                occupy(tid, phase, lane)
             else:
-                resource.queue.append(tid)
+                lane.queue.append(tid)
                 if start_time[tid] is None:
                     start_time[tid] = now
             return True
@@ -692,20 +719,20 @@ class Engine:
             """Crash semantics: every in-flight task loses its current
             phase's progress and re-enters its resource queue."""
             killed = 0
-            for resource, lane in kind_info.values():
-                if resource.active:
-                    for tid in resource.active:
-                        # The aborted occupancy stays visible.
+            for lane in lane_list:
+                caps = lane.caps
+                if caps:
+                    # Admission order; aborted occupancies stay visible.
+                    for _cap, _seq, tid in sorted(caps, key=by_seq):
                         end_segment(tid)
                         deactivate(tid)
-                        resource.queue.append(tid)
-                        killed += 1
-                    resource.active.clear()
-                    lane.caps.clear()
+                        lane.queue.append(tid)
+                    killed += len(caps)
+                    caps.clear()
                     if not lane.dirty:
                         lane.dirty = True
                         dirty_append(lane)
-                drain_queue(resource, lane)
+                drain_queue(lane)
             return killed
 
         isfinite = math.isfinite
@@ -725,9 +752,8 @@ class Engine:
             while running:
                 events += 1
                 if injector is not None:
-                    for kind, resource in res_items:
-                        if resource.active:
-                            lane = lanes[kind]
+                    for kind, lane in lanes.items():
+                        if lane.caps:
                             scale = injector.scale(kind, now)
                             if scale != lane.scale:
                                 lane.scale = scale
@@ -781,8 +807,7 @@ class Engine:
                         keyed = []
                         for slot in hits.tolist():
                             tid = slot_task[slot]
-                            lane = kind_info[
-                                phases[tid][phase_index[tid]][0]][1]
+                            lane = lane_of[phases[tid][phase_index[tid]][0]]
                             keyed.append((lane.index, lane.capped.get(
                                 tid, slot_seq[slot]), tid))
                         keyed.sort()
@@ -791,15 +816,14 @@ class Engine:
                         task_phases = phases[tid]
                         index = phase_index[tid]
                         kind, _work, max_rate = task_phases[index]
-                        resource, lane = kind_info[kind]
+                        lane = lane_of[kind]
                         if record_tasks:
                             end_segment(tid)
-                        resource.active.remove(tid)
                         slot = task_slot[tid]
                         caps = lane.caps
                         del caps[bisect_left(caps,
                                              (max_rate, slot_seq[slot]))]
-                        if resource.active or resource.queue:
+                        if caps or lane.queue:
                             if not lane.dirty:
                                 lane.dirty = True
                                 dirty_append(lane)
@@ -817,12 +841,14 @@ class Engine:
                         remaining[slot] = np.inf
                         free_append(slot)
                         running_discard(tid)
-                        if resource.queue:
-                            drain_queue(resource, lane)
+                        if lane.queue:
+                            drain_queue(lane)
                         index += 1
                         phase_index[tid] = index
                         if index >= len(task_phases) or not admit(tid):
                             complete(tid)
+                    if hi > _MIN_SLOTS and len(running) <= hi // 4:
+                        shrink()
 
                 if injector is not None:
                     for event in injector.crashes_between(previous, now):
@@ -834,6 +860,7 @@ class Engine:
         for lane in lane_list:
             lane.trace.busy_seconds = lane.busy
             lane.trace.work_done = lane.work
+        swept += hi * (events - mark)
 
         if finished != total:
             stuck = total - finished
@@ -847,4 +874,5 @@ class Engine:
                          finish_times=finish_times, task_records=records,
                          lane_rebuilds=rebuilds,
                          peak_occupancy={kind.value: lane.peak
-                                         for kind, lane in lanes.items()})
+                                         for kind, lane in lanes.items()},
+                         swept_slots=swept)

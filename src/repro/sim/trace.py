@@ -23,6 +23,16 @@ from repro.sim.resource import (
 TRACE_SCHEMA_VERSION = 1
 
 
+def canonical_json(payload: dict) -> str:
+    """Deterministic JSON: sorted keys, fixed separators, newline EOF.
+
+    The one serialization of every artifact that is byte-compared:
+    bench snapshots, frozen traces, diff reports and Chrome traces.
+    """
+    return json.dumps(payload, sort_keys=True, indent=1,
+                      separators=(",", ": ")) + "\n"
+
+
 @dataclass(frozen=True)
 class TaskRecord:
     """One executed task, as the engine saw it (telemetry's raw feed).
@@ -139,8 +149,7 @@ class FrozenTrace:
         order, which the replayer relies on as a topological order),
         so records stay a list; only dict keys are sorted.
         """
-        return json.dumps(self.as_dict(), sort_keys=True, indent=1,
-                          separators=(",", ": ")) + "\n"
+        return canonical_json(self.as_dict())
 
     def save(self, path: str) -> str:
         """Write the canonical JSON to ``path``; returns the path."""

@@ -19,10 +19,8 @@ and the CI smoke step share.
 
 from __future__ import annotations
 
-import json
-
 from repro.sim.metrics import DEFAULT_BUCKET_SECONDS, utilization_timeline
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import TraceRecorder, canonical_json
 from repro.telemetry.span import Tracer
 
 #: Event phases this exporter emits (subset of the Trace Event Format).
@@ -163,16 +161,14 @@ def chrome_trace(records: list | None = None,
 
 
 def trace_to_json(payload: dict) -> str:
-    """Deterministic serialization (sorted keys, fixed separators)."""
-    return json.dumps(payload, sort_keys=True, indent=1,
-                      separators=(",", ": "))
+    """:func:`~repro.sim.trace.canonical_json` without the newline."""
+    return canonical_json(payload)[:-1]
 
 
 def write_chrome_trace(path: str, payload: dict) -> str:
     """Write the payload to ``path``; returns the path."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(trace_to_json(payload))
-        handle.write("\n")
+        handle.write(canonical_json(payload))
     return path
 
 

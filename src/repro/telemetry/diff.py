@@ -26,11 +26,10 @@ drop.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
-from repro.sim.trace import FrozenTrace, TaskRecord
+from repro.sim.trace import FrozenTrace, TaskRecord, canonical_json
 from repro.telemetry.critical_path import (
     RESOURCE_CLASSES,
     WAIT_LABEL,
@@ -238,8 +237,7 @@ class TraceDiff:
 
     def dumps(self) -> str:
         """Canonical JSON (sorted keys, fixed separators, newline)."""
-        return json.dumps(self.as_dict(), sort_keys=True, indent=1,
-                          separators=(",", ": ")) + "\n"
+        return canonical_json(self.as_dict())
 
     def format(self, k: int = 10) -> str:
         """The ranked attribution report, human-readable."""

@@ -27,6 +27,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.sim.trace import canonical_json
 from repro.telemetry.monitor import Alert
 
 #: Default ring capacity (events, across all types).
@@ -181,10 +182,7 @@ class FlightRecorder:
         reason, the retention settings and the drop counter so a
         truncated view is never mistaken for the whole story.
         """
-        from repro.telemetry.chrome_trace import (
-            trace_to_json,
-            validate_chrome_trace,
-        )
+        from repro.telemetry.chrome_trace import validate_chrome_trace
         window = self.window(now)
         tids: dict = {}
         events: list = []
@@ -255,8 +253,7 @@ class FlightRecorder:
                 self.dump_dir,
                 f"flight_{self._dump_seq:03d}_{slug}.json")
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(trace_to_json(payload))
-                handle.write("\n")
+                handle.write(canonical_json(payload))
             self.dump_paths.append(path)
         self._dump_seq += 1
         return payload

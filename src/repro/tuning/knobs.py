@@ -100,6 +100,26 @@ class KnobSpace:
             return base
         return base.with_overrides(**assignment)
 
+    def fitting(self, batch_size: int) -> "KnobSpace":
+        """This space without the ``micro_batches`` values above
+        ``batch_size``, which no run at that batch accepts.
+
+        Raises :class:`ValueError` naming ``batch_size`` when no value
+        is left.
+        """
+        knobs = []
+        for knob in self.knobs:
+            if knob.name == "micro_batches":
+                values = tuple(value for value in knob.values
+                               if value is None or value <= batch_size)
+                if not values:
+                    raise ValueError(
+                        f"no micro_batches candidate {list(knob.values)} "
+                        f"fits batch_size ({batch_size})")
+                knob = Knob(knob.name, values)
+            knobs.append(knob)
+        return KnobSpace(tuple(knobs))
+
     def as_dict(self) -> dict:
         return {"knobs": [knob.as_dict() for knob in self.knobs]}
 

@@ -37,7 +37,7 @@ from repro.graph.builder import IterationGraphBuilder
 from repro.hardware import eflops_cluster
 from repro.models import can
 from repro.sim import Engine, Phase, Resource, ResourceKind, SimTask
-from repro.sim.engine import _EPS, _MASK_MIN, SimResult
+from repro.sim.engine import _EPS, _MASK_MIN, _MIN_SLOTS, SimResult
 from repro.sim.trace import TaskRecord, TraceRecorder
 
 KINDS = (ResourceKind.NET, ResourceKind.GPU_SM, ResourceKind.HBM,
@@ -724,6 +724,92 @@ class TestClimbingLaneEquivalence:
                    for n, _capped, scale in seen)
 
 
+class TestWindowRegrowEquivalence:
+    """The engine's slot window through grow, shrink and grow again.
+
+    A NET chain feeds one GPU task every 0.05 s: 300 of them pile up
+    past 256 occupants (a 512-slot window).  A gate task waits on all
+    but the 12 longest, so the lane drains to at most 16 (the window
+    halves back to 64, moving occupants down) before the gate releases
+    a second wave of 150 that climbs past 64 again.  One crash strikes
+    at the peak, another just after the trough.  Every GPU task ends
+    with a 0.01 s phase on a 1e15 CPU lane, whose completion threshold
+    (1e3) stays in the slot it frees: an occupant moved into such a
+    slot without its own threshold would complete at once."""
+
+    CAPACITY = 100.0
+    HOLD = 12
+    FLASH = Phase(ResourceKind.CPU, 1e13)
+
+    def _wave(self, out, prefix, count, gate=None):
+        feeder = gate
+        gpu = []
+        for i in range(count):
+            step = SimTask(f"{prefix}s{i}", [Phase(ResourceKind.NET, 1.0)])
+            if feeder is not None:
+                step.depends_on(feeder)
+            feeder = step
+            if i % 8 == 0:
+                phase = Phase(ResourceKind.GPU_SM, 0.1 + (i % 3) * 0.02,
+                              max_rate=0.6)
+            elif i % 4 == 1:
+                phase = Phase(ResourceKind.GPU_SM, 40.0 + i * 13 % 30,
+                              max_rate=self.CAPACITY / (20 + i % 50))
+            elif i % 4 == 2:
+                phase = Phase(ResourceKind.GPU_SM, 60.0 + i * 7919 % 97)
+            else:
+                phase = Phase(ResourceKind.GPU_SM, 80.0 + i * 31 % 53,
+                              max_rate=self.CAPACITY / (3 + i % 7))
+            work = SimTask(f"{prefix}g{i}", [phase, self.FLASH])
+            work.depends_on(step)
+            out += [step, work]
+            gpu.append(work)
+        return gpu
+
+    def _tasks(self):
+        out = []
+        first = self._wave(out, "a", 300)
+        gate = SimTask("gate", [Phase(ResourceKind.NET, 1.0)])
+        for task in sorted(first, key=lambda t: t.phases[0].work)[
+                :-self.HOLD]:
+            gate.depends_on(task)
+        out.append(gate)
+        self._wave(out, "b", 150, gate)
+        return out
+
+    def test_grow_shrink_grow_with_crashes_bitwise(self):
+        built = []
+
+        def resources():
+            built.append({
+                ResourceKind.GPU_SM: _ProbeResource(ResourceKind.GPU_SM,
+                                                    capacity=self.CAPACITY),
+                ResourceKind.NET: Resource(ResourceKind.NET, capacity=20.0),
+                ResourceKind.CPU: Resource(ResourceKind.CPU, capacity=1e15),
+            })
+            return built[-1]
+
+        plan = FaultPlan(events=(
+            FaultEvent(kind="crash", time_s=20.0, duration_s=1.0),
+            FaultEvent(kind="crash", time_s=262.0, duration_s=0.5)))
+        (reference, result), logs = _both_runs(
+            resources, self._tasks, lambda: FaultInjector(plan))
+        _assert_bitwise_equal(reference, result)
+        assert logs[1] == logs[0]
+        # The first crash kills more than 256 occupants (a 512-slot
+        # window), the second at most 64 (the window is back at 64).
+        ((_k1, _a1, _b1, wide), (_k2, _a2, _b2, narrow)) = logs[0]
+        assert wide > 256 and 0 < narrow <= 64
+        occupancy = [n for n, _capped, _scale in built[0][
+            ResourceKind.GPU_SM].seen]
+        peak = occupancy.index(max(occupancy))
+        trough = next(i for i in range(peak, len(occupancy))
+                      if occupancy[i] <= 16)
+        assert max(occupancy[trough:]) > 64
+        assert 64 * result.event_count < result.swept_slots \
+            < 512 * result.event_count
+
+
 # ---------------------------------------------------------------------
 # Real compiled plans: narrow W&D (the bench workloads) and a reduced
 # wide CAN plan.
@@ -770,3 +856,11 @@ class TestCompiledPlanEquivalence:
         result = _compiled_plan_check(plan, 1)
         assert result.task_count > 1000
         assert math.isfinite(result.makespan)
+        # The slot window grew past its 64-slot floor and shrank back:
+        # it must reach the busiest lane's peak, yet the mean swept
+        # width stays below it.
+        peak = max(result.peak_occupancy.values())
+        widest = max(_MIN_SLOTS, 1 << (peak - 1).bit_length())
+        assert widest > _MIN_SLOTS
+        assert _MIN_SLOTS * result.event_count < result.swept_slots \
+            < widest * result.event_count

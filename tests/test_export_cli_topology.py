@@ -100,6 +100,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "critical path" in out
         assert "coverage" in out
+        (engine_line,) = [line for line in out.splitlines()
+                          if line.startswith("engine: ")]
+        assert "lane rebuilds" in engine_line
+        assert "peak occupancy launch=" in engine_line
+        assert engine_line.endswith("swept slots/event")
         payload = json.loads(trace_path.read_text())
         assert payload["traceEvents"]
 

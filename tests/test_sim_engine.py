@@ -13,7 +13,7 @@ from repro.graph.builder import (
 from repro.hardware import EFLOPS_NODE, GN6E_NODE, eflops_cluster
 from repro.models import can, dlrm
 from repro.sim import Engine, Phase, Resource, ResourceKind, SimTask
-from repro.sim.engine import build_node_resources
+from repro.sim.engine import _MIN_SLOTS, build_node_resources
 
 
 def _engine(**capacities):
@@ -227,6 +227,27 @@ class TestEngineCounters:
         assert result.lane_rebuilds == 4
         assert result.peak_occupancy == {"net": 3, "gpu_sm": 1, "cpu": 0}
         assert result.makespan == pytest.approx(6.0)
+
+    def test_swept_slots_narrow_window(self):
+        engine = _engine(**{ResourceKind.NET: 10.0})
+        result = engine.run([SimTask(f"t{i}", [Phase(ResourceKind.NET,
+                                                     1.0 + i)])
+                             for i in range(3)])
+        assert result.event_count == 3
+        assert result.swept_slots == _MIN_SLOTS * 3
+
+    def test_swept_slots_follow_the_window(self):
+        # 100 tasks share one lane from t=0 and finish one per event,
+        # shortest first.  The 65th admission doubles the window to
+        # 128; once the 68th completion leaves 32 occupants (a quarter
+        # of 128), it halves back to 64 for the last 32 events.
+        engine = _engine(**{ResourceKind.NET: 10.0})
+        result = engine.run([SimTask(f"t{i}", [Phase(ResourceKind.NET,
+                                                     1.0 + i)])
+                             for i in range(100)])
+        assert result.event_count == 100
+        assert result.peak_occupancy == {"net": 100}
+        assert result.swept_slots == 68 * 128 + 32 * 64
 
     def test_peak_occupancy_counts_slots_not_queue(self):
         resources = {ResourceKind.LAUNCH: Resource(

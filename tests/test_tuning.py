@@ -106,6 +106,17 @@ class TestKnobSpace:
         with pytest.raises(ValueError):  # config's own validation
             space.apply(base, {"micro_batches": 0})
 
+    def test_fitting_drops_micro_batches_above_the_batch(self):
+        space = default_space()
+        assert space.fitting(4_000) == space
+        small = space.fitting(3)
+        assert dict((knob.name, knob.values) for knob in small)[
+            "micro_batches"] == (1, 2, 3)
+        assert [knob.name for knob in small] == [knob.name
+                                                 for knob in space]
+        with pytest.raises(ValueError, match=r"batch_size \(1\)"):
+            KnobSpace(knobs=(Knob("micro_batches", (2, 4)),)).fitting(1)
+
     def test_round_trip(self):
         space = default_space()
         rebuilt = KnobSpace.from_dict(space.as_dict())
@@ -231,6 +242,26 @@ class TestTuneFacade:
                       model=model)
         assert result.base_ips == pytest.approx(report.ips, rel=1e-9)
         assert result.improved
+
+
+class TestTuneSmallBatch:
+    # At batch 1 only micro_batches=1 is valid; the default space's
+    # larger values must never reach a validation run, which rejects
+    # ``micro_batches > batch_size``.
+    SMALL = RunConfig(model="DLRM", dataset="Criteo", scale=1e-3,
+                      cluster="eflops:2", batch_size=1, iterations=1)
+
+    def test_default_space_tunes_a_batch_of_one(self):
+        result = tune(TuneConfig(run=self.SMALL))
+        assert result.best_ips > 0
+        assert result.validations
+        assert all(entry.assignment.get("micro_batches", 1) == 1
+                   for entry in result.validations)
+
+    def test_no_fitting_candidate_fails_at_the_facade(self):
+        space = KnobSpace(knobs=(Knob("micro_batches", (2, 8)),))
+        with pytest.raises(ValueError, match="batch_size"):
+            tune(TuneConfig(run=self.SMALL, knobs=space))
 
 
 class TestTuneConfig:
