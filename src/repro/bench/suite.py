@@ -36,7 +36,7 @@ from repro.api import RunConfig, ServeConfig, StreamConfig, \
     TuneConfig, profile, run, serve, stream, tune
 from repro.bench.snapshot import BenchSnapshot
 from repro.core import PicassoConfig
-from repro.data import BoundedZipf
+from repro.data import BoundedZipf, count_distinct
 from repro.embedding.hybrid_hash import HybridHash
 from repro.embedding.table import EmbeddingTable
 from repro.experiments.common import WD_WORKLOAD
@@ -559,7 +559,7 @@ def bench_prefetch() -> BenchSnapshot:
         hot_threshold=config["hot_threshold"])
     classifier = batch_classifier("hotness")(
         prefetch_config, resident=resident)
-    fetch_s = [np.unique(ids).size * config["row_bytes"]
+    fetch_s = [count_distinct(ids) * config["row_bytes"]
                / DEFAULT_FETCH_RATE for ids in stream]
     cold = [index for index, ids in enumerate(stream)
             if not classifier.classify(ids, index).hot]

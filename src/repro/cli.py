@@ -341,6 +341,13 @@ def cmd_profile(args) -> int:
           f"peak occupancy {peaks}, "
           f"{result.swept_slots / max(result.event_count, 1):.1f} "
           "swept slots/event")
+    last = f"it{report.iterations - 1}/"  # a copy of the stamped step
+    records = result.task_records
+    stream = any(r.tags.get("layer") == "prefetch" for r in records)
+    print(f"compile: {sum(r.name.startswith(last) for r in records):,} "
+          f"tasks/iteration x {report.iterations} iteration(s), "
+          + ("iteration 0 built separately (prefetch stream on)" if stream
+             else "one iteration built and stamped"))
     print(format_critical_path(profiled.critical_path))
     for name, monitor in sorted(profiled.monitors.items()):
         verdict = "healthy" if monitor.healthy else "UNHEALTHY"

@@ -48,10 +48,13 @@ def _batch_unique_hit_fraction(field: FieldSpec, hot_rows: int,
     zipf = BoundedZipf(field.vocab_size, field.zipf_exponent)
     uniques = 0.0
     hits = 0.0
+    first = np.ones(ids_per_batch, dtype=bool)
     for _round in range(rounds):
-        ranks = np.unique(zipf.sample(ids_per_batch, rng))
-        uniques += ranks.size
-        hits += float(np.count_nonzero(ranks < hot_rows))
+        ranks = np.sort(zipf.sample(ids_per_batch, rng))
+        np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
+        uniques += int(np.count_nonzero(first))
+        hot = int(np.searchsorted(ranks, hot_rows))
+        hits += float(np.count_nonzero(first[:hot]))
     scale = (batch_size * field.seq_length) / ids_per_batch
     return uniques / rounds * scale, hits / rounds * scale
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from repro.core.config import PicassoConfig
 from repro.core.planner import PicassoPlanner
 from repro.graph.builder import ExecutionPlan, IterationGraphBuilder
+from repro.graph.graph import stamp_task_table
 from repro.hardware.topology import ClusterSpec
 from repro.memo import Memo
 from repro.models.base import ModelSpec
@@ -148,10 +149,19 @@ def compile_plan(plan: ExecutionPlan, iterations: int) -> tuple:
 
 
 def _compile(plan: ExecutionPlan, iterations: int) -> tuple:
-    graph = IterationGraphBuilder(plan).build(iterations)
-    micro_ops = graph.total_micro_ops
-    table = graph.to_task_table(*launch_costs(plan, micro_ops / iterations))
-    return PlanSummary(graph.name, len(graph), micro_ops), table
+    """Build one step and stamp the rest.  With the prefetch stream on,
+    step 0 (no stream) is built apart and step 2 is the template."""
+    builder = IterationGraphBuilder(plan)
+    head = builder.build(1) if plan.prefetch_share() > 0 else None
+    template = builder.build(1, first=1 if head is None else 2)
+    micro_ops = template.total_micro_ops * iterations
+    if head is not None:
+        micro_ops += head.total_micro_ops - template.total_micro_ops
+    launch = launch_costs(plan, micro_ops / iterations)
+    table = stamp_task_table(
+        template.to_task_table(*launch), iterations,
+        None if head is None else head.to_task_table(*launch))
+    return PlanSummary(template.name, len(table), micro_ops), table
 
 
 def per_iteration_seconds(makespan: float, first_step_end: float,

@@ -21,6 +21,7 @@ from repro.data.synthetic import BoundedZipf, FieldSampler, sample_field_batch
 from repro.data.loader import Batch, BatchIterator, batch_wire_bytes
 from repro.data.labeled import LabeledBatchIterator
 from repro.data.statistics import (
+    count_distinct,
     coverage_curve,
     coverage_of_top_fraction,
     expected_unique_fraction,
@@ -42,6 +43,7 @@ __all__ = [
     "BatchIterator",
     "batch_wire_bytes",
     "LabeledBatchIterator",
+    "count_distinct",
     "coverage_curve",
     "coverage_of_top_fraction",
     "expected_unique_fraction",

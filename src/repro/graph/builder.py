@@ -387,14 +387,17 @@ class IterationGraphBuilder:
 
     # -- public API ---------------------------------------------------------
 
-    def build(self, iterations: int = 1) -> Graph:
-        """Emit a graph covering ``iterations`` chained training steps."""
+    def build(self, iterations: int = 1, first: int = 0) -> Graph:
+        """Emit ``iterations`` chained training steps from step ``first``,
+        after placeholders for step ``first - 1``'s ops they wait on."""
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         graph = Graph(name=f"{self.plan.model.name}-{self.plan.strategy}")
-        prev_tail = None
-        prev_io = None
-        for index in range(iterations):
+        self._prev_prefetch = {}
+        prev_tail = prev_io = None
+        if first > 0:
+            prev_tail, prev_io = self._placeholders(graph, first - 1)
+        for index in range(first, first + iterations):
             prev_tail, prev_io = self._build_iteration(
                 graph, index, prev_tail, prev_io)
         return graph
@@ -459,6 +462,21 @@ class IterationGraphBuilder:
         # is done (pushes drain in the background); sync strategies wait
         # for the full update barrier.
         sync_point = slice_join_ops[-1] if plan.is_async else tail
+        return sync_point, io_op
+
+    def _placeholders(self, graph: Graph, index: int) -> tuple:
+        """Stand-ins for step ``index``'s ops the next step waits on."""
+        plan = self.plan
+        slices = plan.micro_batches if plan.micro_batch_scope == "all" else 1
+        names = ["io", f"s{slices - 1}/slice_join" if plan.is_async
+                 else "step_end"]
+        if index >= 1 and plan.prefetch_share() > 0:
+            names += [f"prefetch/{group.name}" for group in plan.groups]
+        io_op, sync_point, *prefetch = [
+            graph.add(Op(name=f"it{index}/{name}", kind=OpKind.CONTROL,
+                         phases=[], micro_ops=0)) for name in names]
+        self._prev_prefetch = {group.name: op
+                               for group, op in zip(plan.groups, prefetch)}
         return sync_point, io_op
 
     def _io_op(self, graph: Graph, index: int) -> Op:

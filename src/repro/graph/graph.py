@@ -134,3 +134,52 @@ class Graph:
             indegree=tuple([len(self._preds[op.name]) for op in ops]),
             tags=tuple([shared(tags, tags) for tags in
                         (tuple(op.tags.items()) for op in ops)]))
+
+
+def stamp_task_table(template: TaskTable, iterations: int,
+                     head: TaskTable | None = None) -> TaskTable:
+    """``iterations`` steps stamped from ``template``, the table of
+    ``IterationGraphBuilder.build(1, first)``, after ``head`` (step 0's
+    own table) if given.  See DESIGN.md "Compile: one iteration,
+    stamped"."""
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    prefixes, suffixes = zip(*(name.split("/", 1)
+                               for name in template.names))
+    cut = prefixes.index(prefixes[-1])
+    cross = {suffixes[p]: [succ - cut for succ in template.succs[p]]
+             for p in range(cut)}
+    before = () if head is None else [
+        name.split("/", 1)[1] for name in head.names]
+    known = set(before)
+    # The first stamped step waits on no op the step before it lacks.
+    first = list(template.indegree[cut:])
+    for p in range(cut):
+        if suffixes[p] not in known:
+            for succ in template.succs[p]:
+                first[succ - cut] -= 1
+    steps = [(suffixes[cut:],
+              [tuple([succ - cut for succ in row])
+               for row in template.succs[cut:]],
+              template.phases[cut:], template.tags[cut:])] * iterations
+    indegrees = [first] + [template.indegree[cut:]] * (iterations - 1)
+    if head is not None:
+        steps[0] = (before, head.succs, head.phases, head.tags)
+        indegrees = [head.indegree] + indegrees[:-1]
+    names, succs, indegree, phases, tags = [], [], [], [], []
+    base = 0
+    for index, (step_names, rows, step_phases, step_tags) in enumerate(
+            steps):
+        width = len(step_names)
+        if index + 1 < iterations:
+            rows = [row + tuple([succ + width for succ in cross.get(s, ())])
+                    for row, s in zip(rows, step_names)]
+        names.extend([f"it{index}/{suffix}" for suffix in step_names])
+        succs.extend([tuple([succ + base for succ in row]) for row in rows])
+        indegree.extend(indegrees[index])
+        phases.extend(step_phases)
+        tags.extend(step_tags)
+        base += width
+    return TaskTable(names=tuple(names), phases=tuple(phases),
+                     succs=tuple(succs), indegree=tuple(indegree),
+                     tags=tuple(tags))

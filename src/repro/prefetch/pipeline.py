@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.statistics import count_distinct
 from repro.prefetch.classifiers import batch_classifier
 from repro.prefetch.config import PrefetchConfig
 
@@ -192,7 +193,7 @@ class LookaheadPrefetcher:
 
     def _stage_cost(self, entry: _Entry) -> tuple:
         """(bytes, fetch seconds) to background-stage one batch."""
-        unique = np.unique(entry.ids).size
+        unique = count_distinct(entry.ids)
         staged_bytes = unique * self.row_bytes
         if self.fetch_cost is not None:
             fetch_s = float(self.fetch_cost(entry.ids))

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.data.loader import Batch
 from repro.data.spec import DatasetSpec, FieldSpec
+from repro.data.statistics import count_distinct
 from repro.embedding.hybrid_hash import HybridHash
 from repro.embedding.multilevel import CacheTier, MultiLevelCache
 from repro.embedding.table import EmbeddingTable
@@ -192,7 +193,7 @@ class ModelServer:
         if isinstance(self.cache, MultiLevelCache):
             return self.cache.expected_access_cost(keys)
         hot, cold = self._hybrid_tiers
-        unique = np.unique(keys).size
+        unique = count_distinct(keys)
         hit = self.cache.batch_hit_ratio(keys)
         per_hot = hot.access_latency \
             + self._row_bytes * hot.access_seconds_per_byte

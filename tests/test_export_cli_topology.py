@@ -1,6 +1,7 @@
 """Tests for trace export and the CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -105,8 +106,28 @@ class TestCli:
         assert "lane rebuilds" in engine_line
         assert "peak occupancy launch=" in engine_line
         assert engine_line.endswith("swept slots/event")
+        lines = out.splitlines()
+        compile_line = lines[lines.index(engine_line) + 1]
+        assert re.fullmatch(r"compile: [\d,]+ tasks/iteration x 1 "
+                            r"iteration\(s\), one iteration built and "
+                            r"stamped", compile_line), compile_line
         payload = json.loads(trace_path.read_text())
         assert payload["traceEvents"]
+
+    def test_profile_compile_line_with_prefetch_stream(self, capsys,
+                                                       tmp_path):
+        code = main(["profile", "--model", "DLRM", "--dataset",
+                     "Criteo", "--scale", "0.001", "--cluster",
+                     "eflops:2", "--batch", "512", "--iterations", "3",
+                     "--prefetch-lookahead-depth", "4",
+                     "--output", str(tmp_path / "trace.json")])
+        assert code == 0
+        (compile_line,) = [line for line in
+                           capsys.readouterr().out.splitlines()
+                           if line.startswith("compile: ")]
+        assert compile_line.endswith(
+            "x 3 iteration(s), iteration 0 built separately "
+            "(prefetch stream on)")
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):

@@ -3,12 +3,13 @@
 import math
 
 import numpy as np
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from repro import api
 from repro.core.packing import pack_by_dimension
 from repro.data.spec import DatasetSpec, FieldSpec
-from repro.data.statistics import coverage_of_top_fraction
+from repro.core.caching import _batch_unique_hit_fraction
+from repro.data.statistics import count_distinct, coverage_of_top_fraction
 from repro.data.synthetic import BoundedZipf
 from repro.models import MODEL_BUILDERS
 from repro.embedding import EmbeddingTable, HybridHash, shard_for_id
@@ -79,6 +80,41 @@ def test_zipf_ids_always_in_vocabulary(vocab, exponent, size, seed):
     if size:
         assert ids.min() >= 0
         assert ids.max() < vocab
+
+
+@given(ids=st.lists(st.integers(-2**62, 2**62) | st.integers(0, 20),
+                    max_size=300),
+       rows=st.sampled_from((1, 2, 3)))
+@example(ids=[], rows=1)
+@example(ids=[7], rows=1)
+@example(ids=[5] * 12, rows=3)
+def test_count_distinct_equals_unique(ids, rows):
+    array = np.array(ids, dtype=np.int64)
+    if array.size % rows == 0:
+        array = array.reshape(rows, -1)
+    assert count_distinct(array) == len(np.unique(array))
+
+
+@given(vocab=st.integers(1, 5_000),
+       exponent=st.floats(0.5, 1.5),
+       hot_rows=st.integers(0, 6_000),
+       batch=st.integers(1, 3_000),
+       seed=st.integers(0, 1000))
+def test_batch_unique_hit_fraction_matches_unique(vocab, exponent,
+                                                  hot_rows, batch, seed):
+    # The hash-based count it replaced, kept as the reference.
+    spec = FieldSpec(name="f", vocab_size=vocab, embedding_dim=8,
+                     zipf_exponent=exponent)
+    zipf = BoundedZipf(vocab, exponent)
+    rng = np.random.default_rng(seed)
+    uniques = hits = 0.0
+    for _round in range(2):
+        ranks = np.unique(zipf.sample(batch, rng))
+        uniques += ranks.size
+        hits += float(np.count_nonzero(ranks < hot_rows))
+    expected = (uniques / 2, hits / 2)
+    assert _batch_unique_hit_fraction(
+        spec, hot_rows, batch, np.random.default_rng(seed)) == expected
 
 
 @given(ids=st.lists(st.integers(0, 50), min_size=1, max_size=300),
