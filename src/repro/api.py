@@ -364,7 +364,7 @@ def _check_serving_fields(config) -> None:
 
 
 def serve(config: ServeConfig, tracer=None,
-          metrics=None, flight=None) -> ServingReport:
+          metrics=None) -> ServingReport:
     """Execute one :class:`ServeConfig`; the serving facade.
 
     Exactly :func:`run`'s shape on the inference side: every entry
@@ -373,12 +373,8 @@ def serve(config: ServeConfig, tracer=None,
     the wiring.  With a fault plan the returned report carries a
     ``degraded`` summary from the
     :class:`~repro.faults.degraded.DegradedModeController`.
-
-    :param flight: optional :class:`~repro.telemetry.FlightRecorder`;
-        batch spans and shed alerts land in its ring.
     """
-    return simulate_serving(config, tracer=tracer, metrics=metrics,
-                            flight=flight)
+    return simulate_serving(config, tracer=tracer, metrics=metrics)
 
 
 @dataclass(frozen=True)
@@ -467,7 +463,7 @@ class StreamConfig(ConfigBase):
 
 
 def stream(config: StreamConfig, tracer=None,
-           metrics=None, flight=None) -> StreamReport:
+           metrics=None) -> StreamReport:
     """Execute one :class:`StreamConfig`; the continuous-loop facade.
 
     The train->publish->swap->serve loop of
@@ -475,12 +471,8 @@ def stream(config: StreamConfig, tracer=None,
     config-in / report-out contract as :func:`run` and :func:`serve`.
     Every snapshot the loop publishes carries this config's provenance
     manifest, so hot-swapped serving versions trace back to the run.
-
-    :param flight: optional :class:`~repro.telemetry.FlightRecorder`
-        shared by the trainer and the swap/shed paths.
     """
-    return simulate_stream(config, tracer=tracer, metrics=metrics,
-                           flight=flight)
+    return simulate_stream(config, tracer=tracer, metrics=metrics)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ sharding used by the hybrid strategy.
 from repro.embedding.table import EmbeddingTable
 from repro.embedding.counter import FrequencyCounter
 from repro.embedding.hybrid_hash import CacheStats, HybridHash
-from repro.embedding.sharding import ShardPlacement, shard_for_id
+from repro.embedding.sharding import shard_for_id
 from repro.embedding.multilevel import CacheTier, MultiLevelCache
 from repro.embedding.placement import (
     ExchangeLoad,
@@ -29,7 +29,6 @@ __all__ = [
     "FrequencyCounter",
     "CacheStats",
     "HybridHash",
-    "ShardPlacement",
     "shard_for_id",
     "CacheTier",
     "MultiLevelCache",

@@ -7,8 +7,6 @@ its owning shard and ``Shuffle`` exchanges the remote ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -20,70 +18,3 @@ def shard_for_id(ids: np.ndarray, num_shards: int) -> np.ndarray:
     # Multiplicative mixing avoids pathological striding in ID space.
     mixed = (ids * np.int64(2654435761)) & np.int64(0x7FFFFFFFFFFFFFFF)
     return (mixed % num_shards).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class ShardPlacement:
-    """Placement of one worker within the model-parallel layout.
-
-    By default ownership is plain hash sharding via
-    :func:`shard_for_id`.  In *plan-backed* mode (``plan`` plus
-    ``field_name`` set) ownership comes from a
-    :class:`~repro.embedding.placement.PlacementPlan` instead: the
-    planner's replicated rows (owner ``-1``) are local on every
-    worker and never exchanged.
-    """
-
-    worker_index: int
-    num_workers: int
-    plan: object = None
-    field_name: str = None
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.worker_index < self.num_workers:
-            raise ValueError(
-                f"worker_index {self.worker_index} out of range for "
-                f"{self.num_workers} workers")
-        if self.plan is not None:
-            if self.field_name is None:
-                raise ValueError(
-                    "plan-backed placement requires field_name")
-            if self.plan.num_workers != self.num_workers:
-                raise ValueError(
-                    f"plan built for {self.plan.num_workers} workers, "
-                    f"placement has {self.num_workers}")
-            # Fails fast when the field is unknown to the plan.
-            self.plan.field_placement(self.field_name)
-
-    def owners_of(self, ids: np.ndarray) -> np.ndarray:
-        """Owning worker per ID (``-1`` = replicated, local everywhere)."""
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        if self.plan is not None:
-            return self.plan.owner_of(self.field_name, ids)
-        return shard_for_id(ids, self.num_workers)
-
-    def partition(self, ids: np.ndarray) -> tuple:
-        """Split unique IDs into (local_ids, remote_ids_by_worker).
-
-        Mirrors the ``Partition`` operator: local IDs are gathered from
-        this worker's shard; remote IDs are exchanged via AllToAllv.
-        Replicated rows of a plan-backed placement count as local.
-        """
-        ids = np.unique(np.asarray(ids, dtype=np.int64).ravel())
-        owners = self.owners_of(ids)
-        local = ids[(owners == self.worker_index) | (owners == -1)]
-        remote = {
-            worker: ids[owners == worker]
-            for worker in range(self.num_workers)
-            if worker != self.worker_index
-        }
-        return local, remote
-
-    def local_fraction(self, ids: np.ndarray) -> float:
-        """Measured share of unique IDs owned locally (~1/num_workers)."""
-        ids = np.unique(np.asarray(ids, dtype=np.int64).ravel())
-        if ids.size == 0:
-            return 0.0
-        owners = self.owners_of(ids)
-        return float(np.mean((owners == self.worker_index)
-                             | (owners == -1)))

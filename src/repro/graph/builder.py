@@ -384,6 +384,8 @@ class IterationGraphBuilder:
         self._prev_prefetch: dict = {}
         self._iter_prefetch: dict = {}
         self._prefetch_bytes_cache = None
+        # batch -> {group name: expected unique IDs}.
+        self._unique_ids: dict = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -497,6 +499,16 @@ class IterationGraphBuilder:
         )
         return graph.add(op)
 
+    def _group_unique(self, group, batch: int) -> float:
+        """Expected unique IDs (at least 1) ``group`` looks up per
+        ``batch`` rows, computed once per group and batch size."""
+        known = self._unique_ids.setdefault(batch, {})
+        unique = known.get(group.name)
+        if unique is None:
+            unique = known[group.name] = max(
+                1.0, self.stats.group_unique_ids(group, batch))
+        return unique
+
     # -- hot/cold lookahead prefetch ----------------------------------------
 
     def _prefetch_dedup(self, group, batch: int) -> float:
@@ -509,9 +521,8 @@ class IterationGraphBuilder:
         window = self.plan.prefetch_lookahead
         if window <= 1:
             return 1.0
-        per_batch = max(1.0, self.stats.group_unique_ids(group, batch))
-        window_unique = max(1.0, self.stats.group_unique_ids(
-            group, batch * window))
+        per_batch = self._group_unique(group, batch)
+        window_unique = self._group_unique(group, batch * window)
         return min(1.0, max(1.0 / window,
                             window_unique / (window * per_batch)))
 
@@ -543,8 +554,7 @@ class IterationGraphBuilder:
         raw = {}
         staged_total = 0.0
         for group in plan.groups:
-            unique = max(1.0, self.stats.group_unique_ids(group,
-                                                          int(batch)))
+            unique = self._group_unique(group, int(batch))
             emb_bytes = unique * group.embedding_dim * _FLOAT_BYTES \
                 * slices
             dedup = self._prefetch_dedup(group, int(batch) * slices)
@@ -747,7 +757,7 @@ class IterationGraphBuilder:
         plan = self.plan
         cost = plan.cost
         ids = group.ids_per_batch(int(batch)) or 1.0
-        unique = max(1.0, self.stats.group_unique_ids(group, int(batch)))
+        unique = self._group_unique(group, int(batch))
         dim = group.embedding_dim
         id_bytes = ids * _ID_BYTES
         emb_bytes = unique * dim * _FLOAT_BYTES
@@ -897,7 +907,7 @@ class IterationGraphBuilder:
     def _embedding_backward_ops(self, graph, prefix, group, batch):
         """Gradient scatter + (strategy-specific) comm + sparse update."""
         plan = self.plan
-        unique = max(1.0, self.stats.group_unique_ids(group, int(batch)))
+        unique = self._group_unique(group, int(batch))
         dim = group.embedding_dim
         emb_bytes = unique * dim * _FLOAT_BYTES
         seq_factor = group.max_seq_factor
@@ -1122,7 +1132,7 @@ class IterationGraphBuilder:
         tail_ops.append(opt_dense)
 
         for group, last_op, batch in grad_outputs:
-            unique = max(1.0, self.stats.group_unique_ids(group, int(batch)))
+            unique = self._group_unique(group, int(batch))
             update_bytes = (unique * group.embedding_dim * _FLOAT_BYTES
                             * cost.optimizer_slots)
             seq_factor = group.max_seq_factor

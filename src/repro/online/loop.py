@@ -116,8 +116,8 @@ class StreamReport:
         }
 
 
-def simulate_stream(config: StreamConfig, tracer=None, metrics=None,
-                    flight=None) -> StreamReport:
+def simulate_stream(config: StreamConfig, tracer=None,
+                    metrics=None) -> StreamReport:
     """Run one :class:`~repro.api.StreamConfig`'s continuous loop.
 
     The serving half is built and run exactly like
@@ -125,10 +125,9 @@ def simulate_stream(config: StreamConfig, tracer=None, metrics=None,
     hot-swap and autoscaling work rides through
     :func:`~repro.serving.server.serve_trace` as a
     :class:`StreamController`.  Every publish carries the config's
-    provenance manifest.  ``tracer``/``metrics``/``flight`` observe
-    the run as in :func:`~repro.serving.server.serve_trace`; swaps
-    also land as ``swap/v*`` spans on the ``alerts`` track, trainer
-    losses in the flight ring.
+    provenance manifest.  ``tracer``/``metrics`` observe the run as
+    in :func:`~repro.serving.server.serve_trace`; swaps also land as
+    ``swap/v*`` spans on the ``alerts`` track.
     """
     trainer_network = WdlNetwork(default_serving_dataset(),
                                  variant=config.variant, seed=config.seed)
@@ -154,7 +153,7 @@ def simulate_stream(config: StreamConfig, tracer=None, metrics=None,
                 step_seconds=config.train_step_s)
         trainer = StreamingTrainer(
             trainer_network, stream, registry,
-            publish_interval=config.publish_interval, flight=flight,
+            publish_interval=config.publish_interval,
             provenance=build_manifest(
                 kind="stream", config=config.as_dict()).as_dict(),
             prefetcher=prefetcher)
@@ -167,10 +166,10 @@ def simulate_stream(config: StreamConfig, tracer=None, metrics=None,
         controller = StreamController(
             config, trainer,
             HotSwapServer(server, registry, load_share=config.load_share),
-            autoscaler, tracer=tracer, flight=flight)
+            autoscaler, tracer=tracer)
         serving = serve_trace(requests, server, batcher, policy,
                               tracer=tracer, metrics=metrics,
-                              controller=controller, flight=flight)
+                              controller=controller)
         return controller.report(serving)
 
 
@@ -195,13 +194,12 @@ class StreamController:
     def __init__(self, config: StreamConfig, trainer: StreamingTrainer,
                  swapper: HotSwapServer,
                  autoscaler: ReplicaAutoscaler | None,
-                 tracer=None, flight=None):
+                 tracer=None):
         self.config = config
         self.trainer = trainer
         self.swapper = swapper
         self.autoscaler = autoscaler
         self.tracer = tracer
-        self.flight = flight
         self.skipped_versions = 0
         self.swap_attributed_shed = 0
         self._last_target = -1
@@ -252,12 +250,6 @@ class StreamController:
                 category="serving", track="alerts",
                 attrs={"version": record.version, "step": record.step,
                        "bytes": record.bytes_loaded,
-                       "pause_s": self._pause})
-        if self.flight is not None:
-            self.flight.record_span(
-                f"swap/v{record.version}", record.requested_s, end,
-                track="alerts",
-                attrs={"version": record.version,
                        "pause_s": self._pause})
 
     def service_factor(self, t: float) -> float:

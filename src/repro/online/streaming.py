@@ -75,8 +75,6 @@ class StreamingTrainer:
     :param publish_interval: steps between publishes (> 0).
     :param optimizer/tracer: forwarded to the inner
         :class:`~repro.training.trainer.SyncTrainer`.
-    :param flight: optional :class:`repro.telemetry.FlightRecorder`
-        forwarded to the inner trainer (loss samples, step guard).
     :param provenance: optional run-manifest dict stamped onto every
         publish (delta headers + registry manifest entries).
     :param prefetcher: optional
@@ -89,7 +87,7 @@ class StreamingTrainer:
 
     def __init__(self, network: WdlNetwork, stream: DriftingStream,
                  registry: SnapshotRegistry, publish_interval: int = 50,
-                 optimizer=None, tracer=None, flight=None,
+                 optimizer=None, tracer=None,
                  provenance=None, prefetcher=None):
         if publish_interval < 1:
             raise ValueError(
@@ -100,7 +98,7 @@ class StreamingTrainer:
         self.publish_interval = int(publish_interval)
         self.provenance = dict(provenance or {})
         self._trainer = SyncTrainer(network, optimizer=optimizer,
-                                    tracer=tracer, flight=flight)
+                                    tracer=tracer)
         self.stats = StreamingTrainerStats()
         self.publishes: list = []
         self._dirty: dict = {name: set() for name in network.embeddings}

@@ -322,7 +322,7 @@ def _deadline_aware_order(sealed: list, prefetcher, server: ModelServer,
 def serve_trace(requests: list, server: ModelServer,
                 batcher: MicroBatcher, policy: SloPolicy,
                 tracer=None, metrics=None, controller=None,
-                flight=None, prefetcher=None) -> ServingReport:
+                prefetcher=None) -> ServingReport:
     """Run a request trace through batcher -> SLO gate -> server.
 
     A single-server queue in modeled time: batch ``i`` starts at
@@ -353,9 +353,6 @@ def serve_trace(requests: list, server: ModelServer,
         completion)`` sees each batch's outcome (``completion`` is
         ``None`` when nothing was admitted).  The caller reads the
         controller's ``summary()`` after the run.
-    :param flight: optional :class:`repro.telemetry.FlightRecorder`;
-        batch spans and shed alerts land in its ring (a shed triggers
-        a dump-on-alert with the last retention window of context).
     :param prefetcher: optional
         :class:`~repro.prefetch.LookaheadPrefetcher`; sealed batches
         are served in its deadline-aware hot-first order (see
@@ -387,12 +384,6 @@ def serve_trace(requests: list, server: ModelServer,
             if tracer is not None:
                 tracer.instant("shed", timestamp=start, track="slo",
                                arrival_s=request.arrival_s)
-        if flight is not None and shed:
-            from repro.telemetry.monitor import Alert
-            flight.record_alert(Alert(
-                time_s=start, monitor="slo", severity="warning",
-                message=f"{len(shed)} request(s) shed at t={start:.4f}s",
-                value=float(len(shed)), threshold=0.0, name="shed"))
         completion = None
         if admitted:
             outcome = server.process(admitted)
@@ -421,10 +412,6 @@ def serve_trace(requests: list, server: ModelServer,
                            "micro_batches": outcome.micro_batches,
                            "fetch_s": outcome.fetch_s,
                            "compute_s": outcome.compute_s})
-            if flight is not None:
-                flight.record_span(f"batch{index}", start, completion,
-                                   track="server",
-                                   attrs={"size": len(admitted)})
             server_free = completion
         if after_batch is not None:
             after_batch(start, shed, admitted, completion)
@@ -468,7 +455,7 @@ def build_serving_stack(config, network: WdlNetwork, shape=None,
 
 
 def simulate_serving(config: ServeConfig, tracer=None, metrics=None,
-                     flight=None, warmup_iters: int = WARMUP_ITERS,
+                     warmup_iters: int = WARMUP_ITERS,
                      flush_iters: int = FLUSH_ITERS) -> ServingReport:
     """End-to-end serving simulation of one :class:`~repro.api.ServeConfig`.
 
@@ -507,7 +494,7 @@ def simulate_serving(config: ServeConfig, tracer=None, metrics=None,
             config.prefetch, resident=resident_from_cache(server.cache),
             row_bytes=network.embedding_dim * 4)
     report = serve_trace(requests, server, batcher, policy, tracer=tracer,
-                         metrics=metrics, controller=faults, flight=flight,
+                         metrics=metrics, controller=faults,
                          prefetcher=prefetcher)
     if faults is not None:
         report = dataclasses.replace(report, degraded=faults.summary())

@@ -46,22 +46,15 @@ from repro.telemetry.provenance import (
     config_fingerprint,
     git_describe,
 )
-from repro.telemetry.recorder import (
-    AnomalyDetector,
-    FlightRecorder,
-    annotate_timeseries,
-)
 from repro.telemetry.span import ManualClock, Span, Tracer, maybe_span
 from repro.telemetry.timeseries import Ewma, Histogram
 
 __all__ = [
     "Alert",
-    "AnomalyDetector",
     "CacheHealthMonitor",
     "CriticalPathReport",
     "DiffEntry",
     "Ewma",
-    "FlightRecorder",
     "Histogram",
     "ManualClock",
     "MonitorReport",
@@ -79,7 +72,6 @@ __all__ = [
     "UtilizationPhase",
     "align_records",
     "analyze_critical_path",
-    "annotate_timeseries",
     "build_manifest",
     "chrome_trace",
     "class_deltas",

@@ -181,7 +181,7 @@ def validate_chrome_trace(payload: dict) -> int:
     JSON importer reads (``name``/``ph``/``pid``/``tid``/``ts``).
 
     Beyond per-event shape it enforces the cross-event invariants the
-    diff-overlay and flight-recorder payloads rely on: counter events
+    diff-overlay payloads rely on: counter events
     keep non-decreasing ``ts`` within their ``(pid, tid, name)``
     track, counters named ``cumulative...`` keep non-decreasing
     values, every pid with events carries ``process_name`` metadata,

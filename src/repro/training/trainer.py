@@ -48,28 +48,13 @@ class SyncTrainer:
     trajectory.
     """
 
-    def __init__(self, network: WdlNetwork, optimizer=None, tracer=None,
-                 flight=None, anomaly=None):
+    def __init__(self, network: WdlNetwork, optimizer=None, tracer=None):
         """:param tracer: optional :class:`repro.telemetry.Tracer`;
         each step becomes a wall-clock span on the ``train`` track.
-        :param flight: optional
-            :class:`repro.telemetry.FlightRecorder`; every step's loss
-            lands in the ring as a sample (step index as modeled
-            time), a step that raises dumps the ring before the
-            exception propagates, and loss anomalies from ``anomaly``
-            dump as alerts.
-        :param anomaly: optional
-            :class:`repro.telemetry.AnomalyDetector` over the loss
-            stream; defaults to a z>4 detector when ``flight`` is set.
         """
         self.network = network
         self.optimizer = optimizer or Adagrad(lr=0.05)
         self.tracer = tracer
-        self.flight = flight
-        if anomaly is None and flight is not None:
-            from repro.telemetry.recorder import AnomalyDetector
-            anomaly = AnomalyDetector("train/loss", z_threshold=4.0)
-        self.anomaly = anomaly
 
     def step(self, batch, index: int = 0) -> float:
         """One optimizer step on ``batch``; returns its loss.
@@ -81,22 +66,9 @@ class SyncTrainer:
         """
         with maybe_span(self.tracer, "train/step", category="training",
                         track="train", step=index) as span:
-            if self.flight is not None:
-                with self.flight.watch(time_s=float(index),
-                                       label="train/step"):
-                    loss = self.network.train_step(batch,
-                                                   self.optimizer)
-            else:
-                loss = self.network.train_step(batch, self.optimizer)
+            loss = self.network.train_step(batch, self.optimizer)
             if span is not None:
                 span.attrs["loss"] = loss
-        if self.flight is not None:
-            self.flight.record_sample("train/loss", float(index), loss,
-                                      track="train")
-        if self.anomaly is not None:
-            alert = self.anomaly.observe(float(index), loss)
-            if alert is not None and self.flight is not None:
-                self.flight.record_alert(alert)
         return loss
 
     def train(self, iterator, steps: int, prefetcher=None) -> list:

@@ -1,5 +1,5 @@
-"""Tests for differential observability: trace diff, flight recorder,
-provenance manifests and the ranked bench-snapshot comparison.
+"""Tests for differential observability: trace diff, provenance
+manifests and the ranked bench-snapshot comparison.
 
 The acceptance bar from the PR issue lives here: diffing a frozen
 trace against a replay whose Shuffle ops were scaled 1.3x must
@@ -16,12 +16,8 @@ from repro.replay import CostHooks, TraceReplayer
 from repro.sim import FrozenTrace, TaskRecord
 from repro.sim.resource import ResourceKind
 from repro.telemetry import (
-    Alert,
-    AnomalyDetector,
-    FlightRecorder,
     RunManifest,
     align_records,
-    annotate_timeseries,
     build_manifest,
     config_fingerprint,
     diff_traces,
@@ -237,103 +233,6 @@ class TestProvenance:
         diff = diff_traces(base_trace, shuffle_scaled)
         assert diff.base_provenance["kind"] == "run"
         assert diff.candidate_provenance == {}
-
-
-class TestFlightRecorder:
-    def test_ring_never_exceeds_capacity(self):
-        recorder = FlightRecorder(capacity=16)
-        for index in range(100):
-            recorder.record_sample("loss", float(index), 1.0)
-        assert len(recorder) == 16
-        assert recorder.dropped == 84
-        assert recorder.events()[0].time_s == 84.0
-
-    def test_retention_window(self):
-        recorder = FlightRecorder(capacity=64, retention_s=5.0)
-        for index in range(20):
-            recorder.record_sample("loss", float(index), 1.0)
-        window = recorder.window()
-        assert [event.time_s for event in window] \
-            == [14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
-
-    def test_dump_on_alert_is_valid_chrome_trace(self):
-        recorder = FlightRecorder(capacity=32)
-        recorder.record_span("batch0", 0.0, 0.5, track="server")
-        recorder.record_sample("qps", 0.5, 100.0)
-        payload = recorder.record_alert(Alert(
-            time_s=0.6, monitor="slo", severity="warning",
-            message="shed", value=1.0, threshold=0.0, name="shed"))
-        assert payload is not None
-        validate_chrome_trace(payload)
-        assert payload["otherData"]["flight"]["reason"] == "alert:shed"
-
-    def test_info_alert_does_not_dump(self):
-        recorder = FlightRecorder(capacity=32)
-        payload = recorder.record_alert(Alert(
-            time_s=0.0, monitor="slo", severity="info", message="ok",
-            value=0.0, threshold=0.0))
-        assert payload is None
-
-    def test_watch_dumps_and_reraises(self, tmp_path):
-        recorder = FlightRecorder(capacity=32, dump_dir=str(tmp_path))
-        with pytest.raises(RuntimeError):
-            with recorder.watch(time_s=1.0, label="train/step"):
-                raise RuntimeError("boom")
-        assert len(recorder.dump_paths) == 1
-        with open(recorder.dump_paths[0]) as handle:
-            validate_chrome_trace(json.load(handle))
-
-    def test_dump_filenames_are_deterministic(self, tmp_path):
-        recorder = FlightRecorder(capacity=8, dump_dir=str(tmp_path))
-        recorder.dump(reason="manual")
-        recorder.dump(reason="alert:shed")
-        names = [path.rsplit("/", 1)[-1]
-                 for path in recorder.dump_paths]
-        assert names == ["flight_000_manual.json",
-                         "flight_001_alert_shed.json"]
-
-    def test_empty_dump_is_valid(self):
-        recorder = FlightRecorder(capacity=8)
-        validate_chrome_trace(recorder.dump(reason="manual"))
-
-
-class TestAnomalyDetector:
-    def test_warmup_suppresses_alerts(self):
-        detector = AnomalyDetector("loss", warmup=8)
-        for index in range(8):
-            assert detector.observe(float(index), 100.0) is None
-
-    def test_spike_alerts_after_warmup(self):
-        detector = AnomalyDetector("loss", z_threshold=3.0, warmup=4)
-        samples = [(float(i), 1.0 + 0.01 * (i % 2)) for i in range(20)]
-        assert annotate_timeseries(detector, samples) == []
-        alert = detector.observe(20.0, 50.0)
-        assert alert is not None
-        assert alert.name == "anomaly"
-        assert alert.severity == "warning"
-
-    def test_anomaly_does_not_shift_the_mean(self):
-        detector = AnomalyDetector("loss", z_threshold=3.0, warmup=4)
-        for index in range(20):
-            detector.observe(float(index), 1.0 + 0.01 * (index % 2))
-        mean_before = detector.mean
-        assert detector.observe(20.0, 50.0) is not None
-        assert detector.mean == mean_before
-
-    def test_trainer_integration_records_losses(self):
-        from repro.data.labeled import LabeledBatchIterator
-        from repro.training.trainer import SyncTrainer
-
-        dataset = _tiny_dataset()
-        network = _tiny_network()
-        recorder = FlightRecorder(capacity=64)
-        trainer = SyncTrainer(network, flight=recorder)
-        iterator = LabeledBatchIterator(dataset, 64, seed=0)
-        trainer.train(iterator, steps=3)
-        samples = [event for event in recorder.events()
-                   if event.kind == "sample"]
-        assert len(samples) == 3
-        assert samples[0].name == "train/loss"
 
 
 class TestOnlineProvenanceRoundTrip:

@@ -6,7 +6,6 @@ import pytest
 from repro.embedding import (
     EmbeddingTable,
     FrequencyCounter,
-    ShardPlacement,
     shard_for_id,
 )
 
@@ -143,25 +142,3 @@ class TestSharding:
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
             shard_for_id(np.arange(5), 0)
-
-    def test_placement_partition_is_exact(self):
-        placement = ShardPlacement(worker_index=2, num_workers=8)
-        ids = np.arange(10_000)
-        local, remote = placement.partition(ids)
-        total = len(local) + sum(len(chunk) for chunk in remote.values())
-        assert total == len(np.unique(ids))
-        owners = shard_for_id(local, 8)
-        assert np.all(owners == 2)
-
-    def test_placement_local_fraction(self):
-        placement = ShardPlacement(worker_index=0, num_workers=16)
-        fraction = placement.local_fraction(np.arange(100_000))
-        assert fraction == pytest.approx(1 / 16, rel=0.2)
-
-    def test_placement_validation(self):
-        with pytest.raises(ValueError):
-            ShardPlacement(worker_index=8, num_workers=8)
-
-    def test_placement_empty_ids(self):
-        placement = ShardPlacement(worker_index=0, num_workers=4)
-        assert placement.local_fraction(np.array([], dtype=int)) == 0.0

@@ -16,7 +16,6 @@ from repro.embedding import (
     LoadProfile,
     PlacementPlan,
     PlannerConfig,
-    ShardPlacement,
     ShardPlanner,
     compare_policies,
     max_mean_ratio,
@@ -141,6 +140,12 @@ class TestPlanEdgeCases:
         with pytest.raises(ValueError):
             ShardPlanner(2).plan(profiles, policy="random")
 
+    def test_unknown_field_rejected(self):
+        profiles, _specs = _profiles(num_fields=1, workers=2)
+        plan = ShardPlanner(2).plan(profiles)
+        with pytest.raises(KeyError, match="not in plan"):
+            plan.owner_of("missing", [1, 2])
+
 
 class TestPlanRoundTrip:
     def test_as_dict_from_dict_round_trip(self):
@@ -249,33 +254,6 @@ class TestPredictImbalance:
             planner.profiles_for_fields(fields, 1_024),
             policy="hash").predicted_ratio()
         assert grouped == pytest.approx(ungrouped, rel=1e-6)
-
-
-class TestShardPlacementPlanBacked:
-    def test_replicated_rows_count_as_local(self):
-        profiles, specs = _profiles(num_fields=1, workers=8)
-        plan = ShardPlanner(8).plan(profiles)
-        legacy = ShardPlacement(worker_index=0, num_workers=8)
-        backed = ShardPlacement(worker_index=0, num_workers=8,
-                                plan=plan, field_name=specs[0].name)
-        ids = _batches(specs[0], 1, 4_096)[0]
-        assert backed.local_fraction(ids) > legacy.local_fraction(ids)
-        local, remote = backed.partition(ids)
-        assert len(local) + sum(len(v) for v in remote.values()) \
-            == len(np.unique(ids))
-
-    def test_plan_worker_mismatch_rejected(self):
-        profiles, specs = _profiles(num_fields=1, workers=4)
-        plan = ShardPlanner(4).plan(profiles)
-        with pytest.raises(ValueError):
-            ShardPlacement(worker_index=0, num_workers=8, plan=plan,
-                           field_name=specs[0].name)
-
-    def test_plan_requires_field_name(self):
-        profiles, _specs = _profiles(num_fields=1, workers=4)
-        plan = ShardPlanner(4).plan(profiles)
-        with pytest.raises(ValueError):
-            ShardPlacement(worker_index=0, num_workers=4, plan=plan)
 
 
 class TestSkewMonitor:

@@ -429,13 +429,13 @@ class TestModelServer:
 class TestServeObservers:
     def test_traced_serve_has_one_span_per_batch_and_shed(self):
         from repro.api import serve
-        from repro.telemetry import FlightRecorder, Tracer
+        from repro.telemetry import Tracer
 
-        tracer, flight = Tracer(), FlightRecorder(capacity=10_000)
+        tracer = Tracer()
         report = serve(ServeConfig(requests=1_000, cache="dram",
                                    rate_qps=300_000, slo_s=0.004,
                                    max_wait_s=0.0005),
-                       tracer=tracer, flight=flight)
+                       tracer=tracer)
         assert report.served > 0 and report.shed > 0
         batches = [span for span in tracer.spans if span.track == "server"]
         # One span per admitted batch: distinct, non-empty, and their
@@ -447,11 +447,6 @@ class TestServeObservers:
         assert len(waits) == len(batches)
         sheds = [event for event in tracer.instants if event[1] == "shed"]
         assert len(sheds) == report.shed
-        recorded = [event for event in flight.events()
-                    if event.kind == "span" and event.track == "server"]
-        assert len(recorded) == len(batches)
-        alerts = [event for event in flight.events() if event.kind == "alert"]
-        assert sum(event.attrs["value"] for event in alerts) == report.shed
 
 
 class TestServeCli:

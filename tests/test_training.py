@@ -50,6 +50,22 @@ class TestSyncTrainer:
         with pytest.raises(ValueError):
             trainer.train(LabeledBatchIterator(dataset, 16, seed=0), -1)
 
+    def test_tracer_records_one_step_span_per_step(self):
+        from repro.telemetry import Tracer
+
+        dataset = _dataset()
+        tracer = Tracer()
+        trainer = SyncTrainer(WdlNetwork(dataset, variant="wdl", seed=0),
+                              tracer=tracer)
+        losses = trainer.train(LabeledBatchIterator(dataset, 64, seed=0),
+                               steps=3)
+        steps = [span for span in tracer.spans
+                 if span.name == "train/step"]
+        assert len(steps) == 3
+        assert all(span.track == "train" for span in steps)
+        assert [span.attrs["loss"] for span in steps] == losses
+        assert [span.attrs["step"] for span in steps] == [0, 1, 2]
+
 
 class TestAsyncPsTrainer:
     def test_staleness_zero_equals_sync(self):
